@@ -122,6 +122,9 @@ impl JobError {
             HarnessError::Run { source: SysError::InvalidConfig(c), .. } => {
                 JobError::InvalidConfig(c.to_string())
             }
+            HarnessError::Run { source: SysError::TooManyArgs { .. }, .. } => {
+                JobError::InvalidRequest(e.to_string())
+            }
             HarnessError::Run { .. } => JobError::Run(e.to_string()),
             HarnessError::Mismatch { .. }
             | HarnessError::StdoutMismatch { .. }
@@ -1173,6 +1176,9 @@ mod tests {
             source: SysError::InvalidConfig(FabricConfigError::ZeroFifoDepth),
         };
         assert_eq!(JobError::from_harness(&invalid).kind(), "invalid-config");
+        let args =
+            HarnessError::Run { which: "baseline", source: SysError::TooManyArgs { count: 7 } };
+        assert_eq!(JobError::from_harness(&args).kind(), "invalid-request");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 use dyser_compiler::{
@@ -419,7 +419,7 @@ pub fn run_program_traced(
     for (addr, words) in init {
         sys.memory_mut().write_u64_slice(*addr, words);
     }
-    sys.set_args(args);
+    sys.try_set_args(args).map_err(|source| HarnessError::Run { which, source })?;
     if trace_capacity > 0 {
         sys.enable_trace(trace_capacity);
     }
@@ -467,6 +467,11 @@ pub fn run_program(
     Ok(artifacts.stats)
 }
 
+/// One compile-cache entry. Its lock is held while the key compiles, so
+/// a caller racing on the same key waits for that result instead of
+/// compiling it again.
+type CompileSlot = Arc<Mutex<Option<Arc<CompiledProgram>>>>;
+
 /// Process-global cache of compiled programs.
 ///
 /// Experiment sweeps compile the same `(kernel, options)` pair dozens of
@@ -474,31 +479,54 @@ pub fn run_program(
 /// is deterministic, so the result can be shared: the cache key is the
 /// exhaustive `Debug` rendering of both inputs (structural equality by
 /// construction, no `Hash`/`Eq` impls required on compiler types).
-static COMPILE_CACHE: OnceLock<Mutex<HashMap<String, Arc<CompiledProgram>>>> = OnceLock::new();
+#[derive(Default)]
+struct CompileCache {
+    slots: Mutex<HashMap<String, CompileSlot>>,
+    /// Compilations run (see [`compile_cache_misses`]).
+    misses: AtomicU64,
+}
+
+static COMPILE_CACHE: OnceLock<CompileCache> = OnceLock::new();
 
 /// Compiles `function` under `options`, memoising the result for the
 /// lifetime of the process.
 ///
-/// Compilation runs outside the cache lock, so parallel workers can
-/// compile *different* kernels concurrently; two workers racing on the
-/// same key both compile, and the first insertion wins (the results are
-/// identical — compilation is deterministic).
+/// Each key compiles at most once at a time: the map lock is held only to
+/// find the key's slot, and the slot's lock while compiling, so parallel
+/// workers compile *different* kernels concurrently while a worker racing
+/// on the same key waits and shares the first result. A poisoned slot
+/// (a compile that panicked) is recovered and compiled afresh.
 ///
 /// # Errors
 ///
-/// Propagates [`CompileError`]; failures are not cached.
+/// Propagates [`CompileError`]; failures are not cached, so the next
+/// call for the key compiles again.
 pub fn compile_cached(
     function: &Function,
     options: &CompilerOptions,
 ) -> Result<Arc<CompiledProgram>, CompileError> {
     let key = format!("{function:?}\u{1f}{options:?}");
-    let cache = COMPILE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("compile cache lock").get(&key) {
+    let cache = COMPILE_CACHE.get_or_init(CompileCache::default);
+    // Recovering either lock from poison is sound: the map only ever
+    // gains empty slots, and a slot holds `None` or a finished program.
+    let slot = Arc::clone(
+        cache.slots.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+    );
+    let mut entry = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = entry.as_ref() {
         return Ok(Arc::clone(hit));
     }
+    cache.misses.fetch_add(1, Ordering::Relaxed);
     let compiled = Arc::new(compile(function, options)?);
-    let mut map = cache.lock().expect("compile cache lock");
-    Ok(Arc::clone(map.entry(key).or_insert(compiled)))
+    *entry = Some(Arc::clone(&compiled));
+    Ok(compiled)
+}
+
+/// How many compilations [`compile_cached`] has run in this process: one
+/// per key it compiled, plus one per failed attempt.
+#[must_use]
+pub fn compile_cache_misses() -> u64 {
+    COMPILE_CACHE.get().map_or(0, |c| c.misses.load(Ordering::Relaxed))
 }
 
 /// Compiles and runs `case` both ways; verifies both runs.
@@ -650,7 +678,7 @@ fn run_kernel_batch_chunk(jobs: &[KernelJob]) -> Vec<Result<KernelResult, Harnes
                 for (addr, words) in &case.init {
                     sys.memory_mut().write_u64_slice(*addr, words);
                 }
-                sys.set_args(&case.args);
+                sys.try_set_args(&case.args)?;
                 Ok(sys)
             })();
             match built {

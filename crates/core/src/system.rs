@@ -165,6 +165,11 @@ pub enum SysError {
         /// The trap number.
         code: u16,
     },
+    /// More arguments were passed than fit in `%o0..%o5`.
+    TooManyArgs {
+        /// The number of arguments passed.
+        count: usize,
+    },
 }
 
 impl fmt::Display for SysError {
@@ -175,6 +180,9 @@ impl fmt::Display for SysError {
             SysError::InvalidConfig(e) => write!(f, "invalid system configuration: {e}"),
             SysError::Timeout { cycles } => write!(f, "no halt after {cycles} cycles"),
             SysError::UnknownSyscall { code } => write!(f, "unknown syscall number {code}"),
+            SysError::TooManyArgs { count } => {
+                write!(f, "{count} arguments passed, but at most six fit in %o0..%o5")
+            }
         }
     }
 }
@@ -727,12 +735,27 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if more than six arguments are supplied.
+    /// Panics if more than six arguments are supplied; use
+    /// [`System::try_set_args`] to handle the error instead.
     pub fn set_args(&mut self, args: &[u64]) {
-        assert!(args.len() <= 6, "at most six arguments");
+        self.try_set_args(args).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Writes the kernel arguments into `%o0..%o5`, reporting an argument
+    /// list that does not fit as an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SysError::TooManyArgs`] for more than six arguments,
+    /// leaving the registers untouched.
+    pub fn try_set_args(&mut self, args: &[u64]) -> Result<(), SysError> {
+        if args.len() > 6 {
+            return Err(SysError::TooManyArgs { count: args.len() });
+        }
         for (i, a) in args.iter().enumerate() {
             self.state.cpu.regs_mut().write(dyser_isa::Reg::new(8 + i as u8), *a);
         }
+        Ok(())
     }
 
     /// Sets up an emulated process on top of the loaded code: writes the
@@ -959,5 +982,15 @@ mod tests {
         sys.set_args(&[1, 2, 3]);
         assert_eq!(sys.cpu().regs().read(regs::O0), 1);
         assert_eq!(sys.cpu().regs().read(regs::O2), 3);
+    }
+
+    #[test]
+    fn seven_args_are_a_typed_error() {
+        let mut sys = System::new(SystemConfig::default());
+        let err = sys.try_set_args(&[1, 2, 3, 4, 5, 6, 7]).unwrap_err();
+        assert!(matches!(err, SysError::TooManyArgs { count: 7 }), "got {err}");
+        assert_eq!(sys.cpu().regs().read(regs::O0), 0, "registers untouched");
+        sys.try_set_args(&[9; 6]).expect("six arguments fit");
+        assert_eq!(sys.cpu().regs().read(regs::O5), 9);
     }
 }

@@ -58,17 +58,29 @@ impl CacheStats {
     }
 }
 
+/// Lines reserved at construction: every set of the shipped default and
+/// tiny geometries fits, so those caches allocate their lines once.
+const RESERVED_LINES: usize = 4096;
+
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
-/// Lines are stored structure-of-arrays in flat per-field vectors indexed
-/// by `set * ways + way`; a line is valid iff its recency stamp is
-/// nonzero (the tick counter pre-increments, so live stamps start at 1).
-/// The zeroed vectors come from the allocator's zero-page path, so even
-/// the huge idealised configurations (`MemConfig::perfect`) construct in
-/// microseconds and only fault in the pages their working set touches.
+/// Lines are stored structure-of-arrays in flat per-field vectors; a line
+/// is valid iff its recency stamp is nonzero (the tick counter
+/// pre-increments, so live stamps start at 1). A set owns no lines until
+/// it is first touched: `dir` maps each set to one past the index of its
+/// first line, zero meaning never touched, and a first touch appends
+/// `ways` invalid lines. Construction therefore costs a `u32` per set
+/// plus a small up-front line reservation, and the huge idealised
+/// configurations (`MemConfig::perfect`, 64K sets x 8 ways) only ever
+/// hold the sets their working set maps to. A dense `sets * ways` layout
+/// would cost ~9 MB per such cache on every construction: the allocator
+/// recycles freed blocks, so it zeroes them rather than handing back
+/// untouched zero pages.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// Per-set line offset plus one; zero marks a set never touched.
+    dir: Vec<u32>,
     /// Line tags; meaningful only where `stamps` is nonzero.
     tags: Vec<u64>,
     /// Recency stamps (larger = more recent); zero marks an invalid way.
@@ -84,18 +96,24 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `line_bytes` is not a power of two, or if any
-    /// dimension is zero.
+    /// Panics if `sets` or `line_bytes` is not a power of two, if any
+    /// dimension is zero, or if `sets * ways` does not fit in a `u32`.
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.sets.is_power_of_two(), "set count must be a power of two");
         assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(config.ways > 0, "associativity must be non-zero");
-        let lines = config.sets * config.ways;
+        let lines = config
+            .sets
+            .checked_mul(config.ways)
+            .filter(|&n| u32::try_from(n).is_ok())
+            .expect("sets * ways must fit in a u32");
+        let reserve = lines.min(RESERVED_LINES);
         Cache {
             config,
-            tags: vec![0; lines],
-            stamps: vec![0; lines],
-            dirty: vec![0; lines],
+            dir: vec![0; config.sets],
+            tags: Vec::with_capacity(reserve),
+            stamps: Vec::with_capacity(reserve),
+            dirty: Vec::with_capacity(reserve),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -123,20 +141,42 @@ impl Cache {
         (set, tag)
     }
 
+    /// The index of `set`'s first line, if the set has been touched.
+    fn base(&self, set: usize) -> Option<usize> {
+        (self.dir[set] as usize).checked_sub(1)
+    }
+
+    /// Gives a never-touched `set` its `ways` invalid lines; returns the
+    /// index of the first.
+    #[cold]
+    fn alloc_set(&mut self, set: usize) -> usize {
+        let base = self.stamps.len();
+        let end = base + self.config.ways;
+        self.tags.resize(end, 0);
+        self.stamps.resize(end, 0);
+        self.dirty.resize(end, 0);
+        // `new` bounds sets * ways by u32::MAX, so base + 1 fits.
+        self.dir[set] = base as u32 + 1;
+        base
+    }
+
+    /// The index of the resident line holding `tag` in the set at `base`.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        (base..base + self.config.ways).find(|&i| self.stamps[i] != 0 && self.tags[i] == tag)
+    }
+
     /// Performs one access, allocating the line on a miss.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
         self.stats.accesses += 1;
         let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.config.ways;
+        let base = self.base(set_idx).unwrap_or_else(|| self.alloc_set(set_idx));
 
-        for i in base..base + self.config.ways {
-            if self.stamps[i] != 0 && self.tags[i] == tag {
-                self.stamps[i] = self.tick;
-                self.dirty[i] |= u8::from(write);
-                self.stats.hits += 1;
-                return AccessOutcome { hit: true, evicted_dirty: false };
-            }
+        if let Some(i) = self.find(base, tag) {
+            self.stamps[i] = self.tick;
+            self.dirty[i] |= u8::from(write);
+            self.stats.hits += 1;
+            return AccessOutcome { hit: true, evicted_dirty: false };
         }
 
         self.stats.misses += 1;
@@ -172,9 +212,7 @@ impl Cache {
         self.stats.accesses += 1;
         self.stats.hits += 1;
         let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.config.ways;
-        let line = (base..base + self.config.ways)
-            .find(|&i| self.stamps[i] != 0 && self.tags[i] == tag);
+        let line = self.base(set_idx).and_then(|base| self.find(base, tag));
         debug_assert!(line.is_some(), "repeat_hit on non-resident line {addr:#x}");
         if let Some(i) = line {
             self.stamps[i] = self.tick;
@@ -185,8 +223,7 @@ impl Cache {
     /// change; useful for tests and warm-up checks).
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.config.ways;
-        (base..base + self.config.ways).any(|i| self.stamps[i] != 0 && self.tags[i] == tag)
+        self.base(set_idx).and_then(|base| self.find(base, tag)).is_some()
     }
 
     /// Invalidates all lines and forgets dirtiness (no writeback modelling;
@@ -292,6 +329,20 @@ mod tests {
         assert!(c.probe(0));
         c.flush();
         assert!(!c.probe(0));
+    }
+
+    #[test]
+    fn sets_get_lines_on_first_touch_only() {
+        let cfg = CacheConfig { sets: 1 << 16, ways: 8, line_bytes: 64, hit_latency: 1 };
+        let mut c = Cache::new(cfg);
+        assert!(c.tags.capacity() <= RESERVED_LINES);
+        assert!(!c.probe(0x40));
+        assert!(c.stamps.is_empty(), "probes allocate nothing");
+        c.access(0x40, false);
+        c.access(0x40 + (64 << 16), true); // same set, next tag
+        c.access(0x80, false); // next set
+        assert_eq!(c.stamps.len(), 2 * 8);
+        assert!(c.probe(0x40) && c.probe(0x40 + (64 << 16)) && c.probe(0x80));
     }
 
     #[test]

@@ -322,6 +322,28 @@ fn ir_jobs_compile_and_run_through_the_service() {
         Err(JobError::Compile(_)) => {}
         other => panic!("expected a compile error over the wire, got {other:?}"),
     }
+    // `%o0..%o5` hold six arguments: a seventh is a malformed request,
+    // not a worker panic, in-process and over the wire.
+    let ir_job = |args: Vec<u64>| JobRequest::Ir {
+        text: "func @one(%x: i64) {\nentry:\n  ret %x\n}\n".into(),
+        function: None,
+        args,
+        init: vec![],
+        expected: vec![],
+        run: RunSpec::default(),
+        system: SystemSpec::default(),
+    };
+    let seven = ir_job(vec![1; 7]);
+    for outcome in [execute_job(&seven, 1_000_000), submit(&url, &seven)] {
+        match outcome {
+            Err(JobError::InvalidRequest(m)) => assert!(m.contains("at most six"), "{m}"),
+            other => panic!("expected invalid-request for seven arguments, got {other:?}"),
+        }
+    }
+    match submit(&url, &ir_job(vec![1])) {
+        Ok(JobResult::Run { .. }) => {}
+        other => panic!("the same function with one argument must run, got {other:?}"),
+    }
 }
 
 #[test]
