@@ -222,8 +222,8 @@ impl DsePoint {
         if self.fifo_depth == 0 {
             return Err(FabricConfigError::ZeroFifoDepth);
         }
-        let mut rc = RunConfig::default();
-        rc.compiler = kernel.compiler_options(geometry);
+        let mut rc =
+            RunConfig { compiler: kernel.compiler_options(geometry), ..RunConfig::default() };
         rc.set_geometry(geometry);
         if self.mix == FuMix::Universal {
             rc.set_universal_fus();
@@ -305,6 +305,8 @@ pub enum DseError {
     Config(FabricConfigError),
     /// An axis with no values (the sweep would be empty).
     EmptyAxis(&'static str),
+    /// An unroll factor outside `1..=MAX_UNROLL`.
+    BadUnroll(usize),
     /// A survivor failed compilation or simulation.
     Run(String),
     /// A report row could not be assembled.
@@ -317,6 +319,9 @@ impl fmt::Display for DseError {
             DseError::UnknownKernel(k) => write!(f, "unknown kernel {k:?} (see `dyser-workloads`)"),
             DseError::Config(e) => write!(f, "invalid sweep point: {e}"),
             DseError::EmptyAxis(axis) => write!(f, "sweep axis `{axis}` has no values"),
+            DseError::BadUnroll(u) => {
+                write!(f, "unroll factor {u} is outside 1..={MAX_UNROLL}")
+            }
             DseError::Run(e) => write!(f, "survivor simulation failed: {e}"),
             DseError::Table(e) => write!(f, "report assembly failed: {e}"),
         }
@@ -337,12 +342,32 @@ impl From<TableError> for DseError {
     }
 }
 
+/// The largest unroll factor a sweep or a served point may request: the
+/// FU count of the largest fabric. The compiler halves any factor whose
+/// slice the fabric cannot hold, so a larger request buys nothing but
+/// compile time, which grows with the square of the factor.
+pub const MAX_UNROLL: usize = FabricGeometry::MAX_DIM * FabricGeometry::MAX_DIM;
+
+/// The one unroll-factor check, shared by [`DsePlan::validate`] and the
+/// daemon's `dse-point` jobs.
+///
+/// # Errors
+///
+/// Returns [`DseError::BadUnroll`] unless `1 <= unroll <= MAX_UNROLL`.
+pub fn check_unroll(unroll: usize) -> Result<(), DseError> {
+    if (1..=MAX_UNROLL).contains(&unroll) {
+        Ok(())
+    } else {
+        Err(DseError::BadUnroll(unroll))
+    }
+}
+
 impl DsePlan {
     /// Validates every axis value up front: kernel names against the
     /// suite, geometry dimensions through [`FabricGeometry::try_new`],
-    /// FIFO depths against the zero-depth error. This is the CLI's
-    /// parse-time gate — after it passes, no point of the sweep can hit
-    /// a construction panic.
+    /// FIFO depths against the zero-depth error, unroll factors through
+    /// [`check_unroll`]. This is the CLI's parse-time gate — after it
+    /// passes, no point of the sweep can hit a construction panic.
     ///
     /// # Errors
     ///
@@ -374,10 +399,7 @@ impl DsePlan {
                 return Err(DseError::Config(FabricConfigError::ZeroFifoDepth));
             }
         }
-        if self.unrolls.iter().any(|&u| u == 0) {
-            return Err(DseError::Run("unroll factor 0 is not a compiler mode".into()));
-        }
-        Ok(())
+        self.unrolls.iter().try_for_each(|&u| check_unroll(u))
     }
 
     /// Enumerates every point, in deterministic nested-axis order.
@@ -1067,6 +1089,14 @@ mod tests {
         let mut plan = tiny_plan();
         plan.mems.clear();
         assert_eq!(plan.validate(), Err(DseError::EmptyAxis("mems")));
+        for unroll in [0, MAX_UNROLL + 1, 1_000_000] {
+            let mut plan = tiny_plan();
+            plan.unrolls = vec![1, unroll];
+            assert_eq!(plan.validate(), Err(DseError::BadUnroll(unroll)));
+        }
+        let mut plan = tiny_plan();
+        plan.unrolls = vec![1, MAX_UNROLL];
+        assert_eq!(plan.validate(), Ok(()));
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn job_for(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> Ker
 
 fn run_one(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelResult {
     let (case, config) = job_for(k, n, config_mut);
-    let key = memo_key(&k.name, n, &config);
+    let key = memo_key(k.name, n, &config);
     if let Some(r) = memo_get(&key) {
         return r;
     }
@@ -164,7 +164,7 @@ fn run_suite(kernels: Vec<Kernel>, scale: Scale) -> Vec<(Kernel, usize, KernelRe
         .iter()
         .zip(&sizes)
         .zip(&jobs)
-        .map(|((k, &n), (_, config))| memo_key(&k.name, n, config))
+        .map(|((k, &n), (_, config))| memo_key(k.name, n, config))
         .collect();
     let mut results: Vec<Option<KernelResult>> = keys.iter().map(|key| memo_get(key)).collect();
     let missing: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();

@@ -154,7 +154,7 @@ pub fn time_experiments(ids: &[&str], reps: usize) -> Vec<Timing> {
 /// median.
 fn median_sorted(walls: &[f64]) -> f64 {
     let mid = walls.len() / 2;
-    if walls.len() % 2 == 0 { (walls[mid - 1] + walls[mid]) / 2.0 } else { walls[mid] }
+    if walls.len().is_multiple_of(2) { (walls[mid - 1] + walls[mid]) / 2.0 } else { walls[mid] }
 }
 
 /// Batched-lockstep throughput: every suite kernel at a quarter of its

@@ -41,3 +41,20 @@ fn the_committed_full_sweep_is_at_least_a_thousand_points() {
     );
     plan.validate().expect("the committed sweep is valid");
 }
+
+/// `repro dse` refuses unroll factors outside `1..=256` at parse time:
+/// exit code 2, one line on stderr, and nothing compiled or written.
+#[test]
+fn out_of_range_unrolls_exit_2_before_the_sweep() {
+    for unroll in ["0", "1000000"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["dse", "--kernels", "saxpy", "--dims", "2", "--unrolls", unroll])
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--unrolls {unroll}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "--unrolls {unroll}: {stderr}");
+        assert!(stderr.contains(&format!("unroll factor {unroll} is outside 1..=256")), "{stderr}");
+        assert!(out.stdout.is_empty(), "--unrolls {unroll} printed a report");
+    }
+}

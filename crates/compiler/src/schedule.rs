@@ -8,9 +8,10 @@
 //!   `0.0 - x`),
 //! * assigning interface values to ports in a deterministic order,
 //! * a seeded random-restart refinement loop that re-places the graph
-//!   with different hints and keeps the configuration with the shortest
-//!   estimated critical path (a light-weight stand-in for the original
-//!   scheduler's simulated annealing).
+//!   with different hints and keeps the configuration with the fewest
+//!   routed registers (a light-weight stand-in for the original
+//!   scheduler's simulated annealing), skipped when the graph fails the
+//!   builder's capacity check and so cannot place under any hints.
 
 use std::collections::HashMap;
 
@@ -18,6 +19,7 @@ use dyser_fabric::{
     BuildError, ConfigBuilder, FabricConfig, FabricConfigError, FabricGeometry, FuId, FuKind,
     FuOp, ValueId,
 };
+use dyser_isa::Port;
 use dyser_rng::Rng64;
 
 use crate::dyser::region::Region;
@@ -39,13 +41,15 @@ pub struct Schedule {
 /// Errors from scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
-    /// The compute slice needs more interface ports than the geometry has.
+    /// The compute slice needs more interface ports than the geometry has
+    /// or the ISA can name.
     TooManyPorts {
         /// Inputs required.
         inputs: usize,
         /// Outputs required.
         outputs: usize,
-        /// The geometry's limits.
+        /// The usable limits: the geometry's ports, capped at
+        /// [`Port::COUNT`].
         available: (usize, usize),
     },
     /// Placement or routing failed even after refinement restarts.
@@ -133,12 +137,12 @@ fn fabric_cmp_op(op: CmpOp) -> (FuOp, bool) {
 type GraphPorts = (Vec<usize>, Vec<usize>, Vec<ValueId>);
 
 /// Builds the dataflow graph into a `ConfigBuilder`; returns the op node
-/// ids so refinement can hint their placement.
+/// ids (one per compute value, in region order) so refinement can hint
+/// their placement.
 fn build_graph(
     f: &Function,
     region: &Region,
     builder: &mut ConfigBuilder,
-    hints: &HashMap<usize, FuId>,
 ) -> Result<GraphPorts, ScheduleError> {
     let mut value_map: HashMap<Value, ValueId> = HashMap::new();
 
@@ -151,7 +155,7 @@ fn build_graph(
 
     // Compute nodes in body (topological) order.
     let mut op_nodes: Vec<ValueId> = Vec::new();
-    for (k, &cv) in region.compute.iter().enumerate() {
+    for &cv in &region.compute {
         let arg = |v: Value, builder: &mut ConfigBuilder| -> Result<ValueId, ScheduleError> {
             if let Some(&vid) = value_map.get(&v) {
                 return Ok(vid);
@@ -205,9 +209,6 @@ fn build_graph(
                 return Err(ScheduleError::Unsupported(format!("{other:?}")));
             }
         };
-        if let Some(&fu) = hints.get(&k) {
-            builder.hint(vid, fu);
-        }
         value_map.insert(cv, vid);
         op_nodes.push(vid);
     }
@@ -257,8 +258,9 @@ fn estimate_depth(f: &Function, region: &Region) -> u64 {
 ///
 /// # Errors
 ///
-/// Fails if the interface exceeds the geometry's ports or if no placement
-/// routes after the refinement budget.
+/// Fails if the interface exceeds the ports the geometry has or the ISA
+/// can name ([`Port::COUNT`]), or if no placement routes after the
+/// refinement budget.
 pub fn schedule_region(
     f: &Function,
     region: &Region,
@@ -266,55 +268,54 @@ pub fn schedule_region(
     kinds: &[FuKind],
     options: &ScheduleOptions,
 ) -> Result<Schedule, ScheduleError> {
-    if region.inputs.len() > geometry.input_ports()
-        || region.outputs.len() > geometry.output_ports()
-    {
+    let available = (
+        geometry.input_ports().min(Port::COUNT),
+        geometry.output_ports().min(Port::COUNT),
+    );
+    if region.inputs.len() > available.0 || region.outputs.len() > available.1 {
         return Err(ScheduleError::TooManyPorts {
             inputs: region.inputs.len(),
             outputs: region.outputs.len(),
-            available: (geometry.input_ports(), geometry.output_ports()),
+            available,
         });
     }
 
-    let build_with = |hints: &HashMap<usize, FuId>| -> Result<
-        (FabricConfig, Vec<usize>, Vec<usize>),
-        ScheduleError,
-    > {
-        let mut builder = ConfigBuilder::with_kinds(geometry, kinds.to_vec())
-            .map_err(ScheduleError::BadHardware)?;
-        builder.set_name(region.name.clone());
-        let (ins, outs, _) = build_graph(f, region, &mut builder, hints)?;
-        let config = builder.build().map_err(ScheduleError::Unmappable)?;
-        Ok((config, ins, outs))
-    };
+    let mut builder = ConfigBuilder::with_kinds(geometry, kinds.to_vec())
+        .map_err(ScheduleError::BadHardware)?;
+    builder.set_name(region.name.clone());
+    let (input_ports, output_ports, op_nodes) = build_graph(f, region, &mut builder)?;
 
     // Greedy first.
-    let mut best = build_with(&HashMap::new());
-    let mut best_cost = best.as_ref().ok().map(|(c, _, _)| config_cost(c));
+    let mut best = builder.build().map_err(ScheduleError::Unmappable);
+    let mut best_cost = best.as_ref().ok().map(config_cost);
 
     // Random-restart refinement: hint a random subset of ops to random
-    // compatible sites, keep improvements.
-    let mut rng = Rng64::seed_from_u64(options.seed);
-    let sites: Vec<FuId> = geometry.fus().collect();
-    for _ in 0..options.refinement_rounds {
-        let mut hints = HashMap::new();
-        for k in 0..region.compute.len() {
-            if rng.gen_bool(0.5) {
-                hints.insert(k, sites[rng.gen_range(0..sites.len())]);
+    // sites (the builder passes over taken or incompatible ones), keep
+    // improvements. Hints only move ops between sites, so a graph that
+    // fails the capacity check fails every round and the greedy error
+    // stands.
+    if builder.fits() {
+        let mut rng = Rng64::seed_from_u64(options.seed);
+        let sites: Vec<FuId> = geometry.fus().collect();
+        for _ in 0..options.refinement_rounds {
+            builder.clear_hints();
+            for &node in &op_nodes {
+                if rng.gen_bool(0.5) {
+                    builder.hint(node, sites[rng.gen_range(0..sites.len())]);
+                }
             }
-        }
-        if let Ok(candidate) = build_with(&hints) {
-            let cost = config_cost(&candidate.0);
-            if best_cost.is_none_or(|b| cost < b) {
-                best_cost = Some(cost);
-                best = Ok(candidate);
+            if let Ok(candidate) = builder.build() {
+                let cost = config_cost(&candidate);
+                if best_cost.is_none_or(|b| cost < b) {
+                    best_cost = Some(cost);
+                    best = Ok(candidate);
+                }
             }
         }
     }
 
-    let (config, input_ports, output_ports) = best?;
     Ok(Schedule {
-        config,
+        config: best?,
         input_ports,
         output_ports,
         depth_estimate: estimate_depth(f, region),
@@ -410,6 +411,59 @@ mod tests {
         let err = schedule_region(&f, &r, geom, &[FuKind::Universal], &Default::default())
             .unwrap_err();
         assert!(matches!(err, ScheduleError::Unmappable(_)), "got {err}");
+    }
+
+    /// The `poly6` suite kernel's body: Horner's rule for a degree-6
+    /// polynomial, a 12-op slice of six `fmul` and six `fadd`.
+    fn horner_and_region() -> (Function, Region) {
+        let mut b =
+            FunctionBuilder::new("poly6", &[("a", Type::Ptr), ("c", Type::Ptr), ("n", Type::I64)]);
+        let (a, c, n) = (b.param(0), b.param(1), b.param(2));
+        let zero = b.const_i(0);
+        let one = b.const_i(1);
+        let coef: Vec<_> =
+            [0.5, -1.25, 0.75, 2.0, -0.5, 1.5, -2.25].iter().map(|&k| b.const_f(k)).collect();
+        let body = b.block("body");
+        let exit = b.block("exit");
+        let entry = b.current();
+        b.br(body);
+        b.switch_to(body);
+        let i = b.phi(Type::I64);
+        let pa = b.gep(a, i, 8);
+        let x = b.load(pa, Type::F64);
+        let mut acc = coef[0];
+        for &k in &coef[1..] {
+            let m = b.bin(BinOp::Fmul, acc, x);
+            acc = b.bin(BinOp::Fadd, m, k);
+        }
+        let pc = b.gep(c, i, 8);
+        b.store(acc, pc);
+        let i2 = b.bin(BinOp::Add, i, one);
+        b.add_incoming(i, entry, zero);
+        b.add_incoming(i, body, i2);
+        let cond = b.cmp(CmpOp::Slt, i2, n);
+        b.cond_br(cond, body, exit);
+        b.switch_to(exit);
+        b.ret(None);
+        let f = b.build().unwrap();
+        let r = select_regions(&f, &RegionOptions::default()).remove(0);
+        (f, r)
+    }
+
+    #[test]
+    fn a_graph_that_cannot_fit_keeps_the_greedy_error() {
+        // Twelve ops on four sites, six of them `FMul` on one FpMul site:
+        // refinement is skipped, and the error is the greedy build's.
+        let (f, r) = horner_and_region();
+        assert_eq!(r.compute.len(), 12);
+        let geom = FabricGeometry::new(2, 2);
+        let kinds = default_kinds(geom);
+        let refined =
+            schedule_region(&f, &r, geom, &kinds, &ScheduleOptions::default()).unwrap_err();
+        let greedy_only = ScheduleOptions { refinement_rounds: 0, ..ScheduleOptions::default() };
+        let greedy = schedule_region(&f, &r, geom, &kinds, &greedy_only).unwrap_err();
+        assert!(matches!(refined, ScheduleError::Unmappable(_)), "got {refined}");
+        assert_eq!(refined, greedy);
     }
 
     #[test]

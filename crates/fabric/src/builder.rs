@@ -8,11 +8,19 @@
 //! circuit-switched hardware does (one switch input line can feed several
 //! of that switch's output muxes).
 //!
-//! The builder is the mechanism; *policy* (operation ordering, placement
-//! refinement, annealing) lives in the compiler's spatial scheduler, which
-//! drives the builder with placement hints.
+//! The builder is the mechanism; *policy* (operation ordering and
+//! seeded random-restart placement refinement) lives in the compiler's
+//! spatial scheduler, which drives the builder with placement hints.
+//!
+//! The scheduler builds every region many times over, and every build
+//! tries many candidate sites, so a candidate costs what its routes cost:
+//! the placer keeps its state in dense arrays, undoes a failed candidate
+//! from a log instead of restoring a snapshot, reuses one set of search
+//! arrays for every route, and formats edge labels only for the error it
+//! returns.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::config::topo;
@@ -114,7 +122,8 @@ pub struct ConfigBuilder {
     kinds: Vec<FuKind>,
     nodes: Vec<Node>,
     outputs: Vec<(ValueId, usize)>,
-    hints: HashMap<usize, FuId>,
+    /// Placement hint per node index (`None` past the end or unhinted).
+    hints: Vec<Option<FuId>>,
     vec_in: Vec<(usize, Vec<usize>)>,
     vec_out: Vec<(usize, Vec<usize>)>,
     name: String,
@@ -154,7 +163,7 @@ impl ConfigBuilder {
             kinds,
             nodes: Vec::new(),
             outputs: Vec::new(),
-            hints: HashMap::new(),
+            hints: Vec::new(),
             vec_in: Vec::new(),
             vec_out: Vec::new(),
             name: String::from("unnamed"),
@@ -210,7 +219,17 @@ impl ConfigBuilder {
     /// Hints that `value` (which must be an operation) should be placed on
     /// `fu`. The spatial scheduler uses hints to drive refinement.
     pub fn hint(&mut self, value: ValueId, fu: FuId) -> &mut Self {
-        self.hints.insert(value.0, fu);
+        if self.hints.len() <= value.0 {
+            self.hints.resize(value.0 + 1, None);
+        }
+        self.hints[value.0] = Some(fu);
+        self
+    }
+
+    /// Drops every placement hint, so the graph can be rebuilt with a
+    /// fresh set.
+    pub fn clear_hints(&mut self) -> &mut Self {
+        self.hints.clear();
         self
     }
 
@@ -231,6 +250,30 @@ impl ConfigBuilder {
         self.nodes.iter().filter(|n| matches!(n, Node::Op { .. })).count()
     }
 
+    /// Whether the graph passes the capacity check: no more operations
+    /// than FU sites, and no more uses of any one [`FuOp`] than sites
+    /// supporting it.
+    ///
+    /// Every placement puts each operation on its own site of a
+    /// supporting kind, so when this is `false`, [`ConfigBuilder::build`]
+    /// fails under any set of hints. When it is `true` a build can still
+    /// fail, on routing or on operations competing for shared sites.
+    pub fn fits(&self) -> bool {
+        let mut uses: Vec<(FuOp, usize)> = Vec::new();
+        for node in &self.nodes {
+            if let Node::Op { op, .. } = node {
+                match uses.iter_mut().find(|(o, _)| o == op) {
+                    Some((_, n)) => *n += 1,
+                    None => uses.push((*op, 1)),
+                }
+            }
+        }
+        uses.iter().map(|&(_, n)| n).sum::<usize>() <= self.kinds.len()
+            && uses
+                .iter()
+                .all(|&(op, n)| n <= self.kinds.iter().filter(|k| k.supports(op)).count())
+    }
+
     /// Places, routes, and validates the configuration.
     ///
     /// # Errors
@@ -242,47 +285,110 @@ impl ConfigBuilder {
     }
 }
 
-/// A signal's position during routing: standing at `switch`, having
-/// arrived on input line `line`.
-type RouteState = (SwitchId, InDir);
+// Route states pack a `(switch, arrival line)` pair as
+// `switch_index * InDir::COUNT + InDir::index`, and route registers a
+// `(switch, output)` pair as `switch_index * OUT_DIRS + OutDir::index`.
+// Switch indices are row-major, so sorting packed states sorts them by
+// `(SwitchId, InDir)`, the order the search breaks ties in.
 
-/// Snapshot of the mutable routing state (config, register owners,
-/// per-signal reached states), used for candidate rollback.
-type Checkpoint =
-    (FabricConfig, HashMap<(SwitchId, OutDir), usize>, HashMap<usize, HashSet<RouteState>>);
+/// Output registers per switch.
+const OUT_DIRS: usize = OutDir::ALL.len();
+/// `reg_owner` entry of a register no signal drives.
+const FREE: u32 = u32::MAX;
+/// `parent` entry of a search seed.
+const ROOT: u32 = u32::MAX;
+
+/// Why a route could not be laid, before the edge is named.
+enum RouteMiss {
+    /// The goal register already carries another signal.
+    GoalBusy,
+    /// No path of free registers reaches the goal switch.
+    NoPath,
+    /// The signal has nothing to route from.
+    Unsourced(BuildError),
+}
+
+impl RouteMiss {
+    fn into_error(self, label: String) -> BuildError {
+        match self {
+            RouteMiss::GoalBusy => {
+                BuildError::Unroutable { edge: format!("{label}: goal register busy") }
+            }
+            RouteMiss::NoPath => BuildError::Unroutable { edge: label },
+            RouteMiss::Unsourced(e) => e,
+        }
+    }
+}
+
+/// A candidate placement that failed: operand `slot` of `fu`, fed by
+/// `value`, could not be routed.
+struct Miss {
+    value: usize,
+    fu: FuId,
+    slot: usize,
+    why: RouteMiss,
+}
+
+impl Miss {
+    fn into_error(self) -> BuildError {
+        let label = format!("value {} -> {} operand {}", self.value, self.fu, self.slot);
+        self.why.into_error(label)
+    }
+}
+
+/// One change made by the candidate under trial.
+enum Undo {
+    /// A route register was claimed.
+    Claim(usize),
+    /// A state was appended to this signal's reached list.
+    Reach(usize),
+}
 
 struct Placer<'a> {
     b: &'a ConfigBuilder,
     cfg: FabricConfig,
-    /// Which signal (producer node index) occupies each route register.
-    reg_owner: HashMap<(SwitchId, OutDir), usize>,
-    /// States already reached by each signal's committed routes.
-    signal_states: HashMap<usize, HashSet<RouteState>>,
+    /// Switch-grid row length (`cols + 1`).
+    stride: usize,
+    /// Which signal (producer node index) occupies each route register,
+    /// or [`FREE`].
+    reg_owner: Vec<u32>,
+    /// States reached by each signal's committed routes, in no order.
+    signal_states: Vec<Vec<u32>>,
     /// Placement of op nodes.
-    node_fu: HashMap<usize, FuId>,
-    fu_used: HashSet<FuId>,
+    node_fu: Vec<Option<FuId>>,
+    /// Occupied FU sites, by FU index.
+    fu_used: Vec<bool>,
+    /// Changes made by the current candidate, oldest first.
+    undo: Vec<Undo>,
+    /// Search scratch, reused by every route: a state has been reached by
+    /// the current search iff its stamp equals `epoch`, and then
+    /// `parent` holds the state it was reached from.
+    stamp: Vec<u32>,
+    epoch: u32,
+    parent: Vec<u32>,
+    queue: Vec<u32>,
 }
 
 impl<'a> Placer<'a> {
     fn new(b: &'a ConfigBuilder) -> Result<Self, BuildError> {
         // Port sanity.
-        let mut in_ports = HashSet::new();
+        let mut in_ports = vec![false; b.geom.input_ports()];
         for node in &b.nodes {
             if let Node::Input { port } = node {
                 if *port >= b.geom.input_ports() {
                     return Err(BuildError::BadPort { port: *port, input: true });
                 }
-                if !in_ports.insert(*port) {
+                if std::mem::replace(&mut in_ports[*port], true) {
                     return Err(BuildError::DuplicateInputPort { port: *port });
                 }
             }
         }
-        let mut out_ports = HashSet::new();
+        let mut out_ports = vec![false; b.geom.output_ports()];
         for (_, port) in &b.outputs {
             if *port >= b.geom.output_ports() {
                 return Err(BuildError::BadPort { port: *port, input: false });
             }
-            if !out_ports.insert(*port) {
+            if std::mem::replace(&mut out_ports[*port], true) {
                 return Err(BuildError::DuplicateOutputPort { port: *port });
             }
         }
@@ -294,39 +400,43 @@ impl<'a> Placer<'a> {
                 }
             }
         }
+        let mut cfg = FabricConfig::empty(b.geom);
+        cfg.set_name(b.name.clone());
+        let states = b.geom.switch_count() * InDir::COUNT;
         Ok(Placer {
             b,
-            cfg: {
-                let mut c = FabricConfig::empty(b.geom);
-                c.set_name(b.name.clone());
-                c
-            },
-            reg_owner: HashMap::new(),
-            signal_states: HashMap::new(),
-            node_fu: HashMap::new(),
-            fu_used: HashSet::new(),
+            cfg,
+            stride: b.geom.cols() + 1,
+            reg_owner: vec![FREE; b.geom.switch_count() * OUT_DIRS],
+            signal_states: vec![Vec::new(); b.nodes.len()],
+            node_fu: vec![None; b.nodes.len()],
+            fu_used: vec![false; b.geom.fu_count()],
+            undo: Vec::new(),
+            stamp: vec![0; states],
+            epoch: 0,
+            parent: vec![ROOT; states],
+            queue: Vec::with_capacity(states),
         })
     }
 
     fn run(mut self) -> Result<FabricConfig, BuildError> {
-        for idx in 0..self.b.nodes.len() {
-            if let Node::Op { op, args } = &self.b.nodes[idx] {
-                self.place_op(idx, *op, &args.clone())?;
+        let b = self.b;
+        for (idx, node) in b.nodes.iter().enumerate() {
+            if let Node::Op { op, args } = node {
+                self.place_op(idx, *op, args)?;
             }
         }
-        for (value, port) in &self.b.outputs {
-            let goal_sw = self
-                .b
-                .geom
-                .output_port_switch(*port)
-                .expect("output port validated in Placer::new");
-            let label = format!("value {} -> output port {port}", value.0);
-            self.route_signal(value.0, goal_sw, OutDir::ExtOut, &label)?;
+        for (value, port) in &b.outputs {
+            let goal_sw =
+                b.geom.output_port_switch(*port).expect("output port validated in Placer::new");
+            self.route_signal(value.0, goal_sw, OutDir::ExtOut).map_err(|why| {
+                why.into_error(format!("value {} -> output port {port}", value.0))
+            })?;
         }
-        for (vp, ports) in &self.b.vec_in {
+        for (vp, ports) in &b.vec_in {
             self.cfg.set_vec_in(*vp, ports.clone());
         }
-        for (vp, ports) in &self.b.vec_out {
+        for (vp, ports) in &b.vec_out {
             self.cfg.set_vec_out(*vp, ports.clone());
         }
         self.cfg.validate()?;
@@ -335,96 +445,67 @@ impl<'a> Placer<'a> {
 
     /// Rough physical location of a node's output, for placement cost.
     fn node_pos(&self, node: usize) -> Option<(isize, isize)> {
-        match &self.b.nodes[node] {
-            Node::Input { port } => {
-                let sw = self.b.geom.input_port_switch(*port)?;
-                Some((sw.row as isize, sw.col as isize))
-            }
-            Node::Const(_) => None,
-            Node::Op { .. } => {
-                let fu = self.node_fu.get(&node)?;
-                let sw = topo::fu_output_switch(*fu);
-                Some((sw.row as isize, sw.col as isize))
-            }
-        }
+        let sw = match &self.b.nodes[node] {
+            Node::Input { port } => self.b.geom.input_port_switch(*port)?,
+            Node::Const(_) => return None,
+            Node::Op { .. } => topo::fu_output_switch(self.node_fu[node]?),
+        };
+        Some((sw.row as isize, sw.col as isize))
     }
 
     fn place_op(&mut self, node: usize, op: FuOp, args: &[ValueId]) -> Result<(), BuildError> {
         // Candidate sites: hinted site first, then free compatible sites by
-        // distance to the argument producers.
-        let mut candidates: Vec<FuId> = Vec::new();
-        if let Some(&hint) = self.b.hints.get(&node) {
-            if self.b.geom.fu_valid(hint) {
-                candidates.push(hint);
-            }
-        }
+        // distance to the argument producers, ties in row-major order. A
+        // key packs `(distance, FU index)`, which orders like
+        // `(distance, row, col)`; the heap yields keys lazily, since most
+        // operations land on one of their first few sites.
+        let geom = self.b.geom;
+        let hint = self.b.hints.get(node).copied().flatten().filter(|&fu| geom.fu_valid(fu));
         let arg_positions: Vec<(isize, isize)> =
             args.iter().filter_map(|a| self.node_pos(a.0)).collect();
-        let mut free: Vec<FuId> = self
-            .b
-            .geom
+        let mut free: BinaryHeap<Reverse<u32>> = geom
             .fus()
-            .filter(|fu| {
-                !self.fu_used.contains(fu)
-                    && self.b.kinds[self.b.geom.fu_index(*fu)].supports(op)
+            .enumerate()
+            .filter(|&(_, fu)| self.site_open(fu, op))
+            .map(|(idx, fu)| {
+                let (r, c) = (fu.row as isize, fu.col as isize);
+                let dist: isize =
+                    arg_positions.iter().map(|(ar, ac)| (ar - r).abs() + (ac - c).abs()).sum();
+                Reverse((dist as u32) << 16 | idx as u32)
             })
             .collect();
-        free.sort_by_key(|fu| {
-            let (r, c) = (fu.row as isize, fu.col as isize);
-            let dist: isize =
-                arg_positions.iter().map(|(ar, ac)| (ar - r).abs() + (ac - c).abs()).sum();
-            (dist, fu.row, fu.col)
+        let by_distance = std::iter::from_fn(|| {
+            let Reverse(key) = free.pop()?;
+            let idx = (key & 0xffff) as usize;
+            Some(FuId { row: idx / geom.cols(), col: idx % geom.cols() })
         });
-        candidates.extend(free);
-        if candidates.is_empty() {
-            return Err(BuildError::Unplaceable { op });
-        }
 
-        let orderings = Self::operand_orderings(op, args);
-        let mut last_err = BuildError::Unplaceable { op };
-        for fu in candidates {
-            if self.fu_used.contains(&fu)
-                || !self.b.kinds[self.b.geom.fu_index(fu)].supports(op)
-            {
+        // The given operand order, plus the swapped order for commutative
+        // binary operations (a routing degree of freedom real spatial
+        // schedulers exploit).
+        let swapped = (is_commutative(op) && args.len() == 2 && args[0] != args[1])
+            .then(|| [args[1], args[0]]);
+        let orderings = std::iter::once(args).chain(swapped.as_ref().map(|s| &s[..]));
+
+        let mut last_miss = None;
+        for fu in hint.into_iter().chain(by_distance) {
+            if !self.site_open(fu, op) {
                 continue;
             }
-            for ordering in &orderings {
+            for ordering in orderings.clone() {
                 match self.try_place_at(node, op, ordering, fu) {
                     Ok(()) => return Ok(()),
-                    Err(e) => last_err = e,
+                    Err(miss) => last_miss = Some(miss),
                 }
             }
         }
-        Err(last_err)
+        Err(last_miss.map_or(BuildError::Unplaceable { op }, Miss::into_error))
     }
 
-    /// Operand orderings to attempt: the given order, plus the swapped
-    /// order for commutative binary operations (a routing degree of
-    /// freedom real spatial schedulers exploit).
-    fn operand_orderings(op: FuOp, args: &[ValueId]) -> Vec<Vec<ValueId>> {
-        let commutative = matches!(
-            op,
-            FuOp::IAdd
-                | FuOp::IMul
-                | FuOp::IAnd
-                | FuOp::IOr
-                | FuOp::IXor
-                | FuOp::IMax
-                | FuOp::IMin
-                | FuOp::ICmpEq
-                | FuOp::ICmpNe
-                | FuOp::FAdd
-                | FuOp::FMul
-                | FuOp::FMax
-                | FuOp::FMin
-                | FuOp::PredAnd
-                | FuOp::PredOr
-        );
-        let mut orders = vec![args.to_vec()];
-        if commutative && args.len() == 2 && args[0] != args[1] {
-            orders.push(vec![args[1], args[0]]);
-        }
-        orders
+    /// Whether `fu` is unoccupied and its kind supports `op`.
+    fn site_open(&self, fu: FuId, op: FuOp) -> bool {
+        let idx = self.b.geom.fu_index(fu);
+        !self.fu_used[idx] && self.b.kinds[idx].supports(op)
     }
 
     fn try_place_at(
@@ -433,57 +514,68 @@ impl<'a> Placer<'a> {
         op: FuOp,
         args: &[ValueId],
         fu: FuId,
-    ) -> Result<(), BuildError> {
-        let checkpoint = self.checkpoint();
+    ) -> Result<(), Miss> {
         let mut operands = [OperandSrc::None; 3];
         for (slot, arg) in args.iter().enumerate() {
             match &self.b.nodes[arg.0] {
                 Node::Const(c) => operands[slot] = OperandSrc::Const(*c),
                 _ => {
                     let (goal_sw, goal_dir) = topo::fu_operand_switch(fu, slot);
-                    let label = format!("value {} -> {fu} operand {slot}", arg.0);
-                    if let Err(e) = self.route_signal(arg.0, goal_sw, goal_dir, &label) {
-                        self.rollback(checkpoint);
-                        return Err(e);
+                    if let Err(why) = self.route_signal(arg.0, goal_sw, goal_dir) {
+                        self.rollback();
+                        return Err(Miss { value: arg.0, fu, slot, why });
                     }
                     operands[slot] = OperandSrc::Switch;
                 }
             }
         }
+        // Committed: nothing before this point is rolled back again.
+        self.undo.clear();
         self.cfg.set_fu(fu, FuConfig { op, operands });
-        self.fu_used.insert(fu);
-        self.node_fu.insert(node, fu);
+        self.fu_used[self.b.geom.fu_index(fu)] = true;
+        self.node_fu[node] = Some(fu);
         Ok(())
     }
 
-    /// Snapshot of the mutable routing state, for candidate rollback.
-    fn checkpoint(&self) -> Checkpoint {
-        (self.cfg.clone(), self.reg_owner.clone(), self.signal_states.clone())
+    /// Undoes every change the current candidate made, newest first.
+    fn rollback(&mut self) {
+        while let Some(step) = self.undo.pop() {
+            match step {
+                Undo::Claim(reg) => {
+                    self.reg_owner[reg] = FREE;
+                    let sw = self.switch_id(reg / OUT_DIRS);
+                    self.cfg.switch_mut(sw).clear_source(OutDir::ALL[reg % OUT_DIRS]);
+                }
+                Undo::Reach(signal) => {
+                    self.signal_states[signal].pop();
+                }
+            }
+        }
     }
 
-    fn rollback(&mut self, cp: Checkpoint) {
-        self.cfg = cp.0;
-        self.reg_owner = cp.1;
-        self.signal_states = cp.2;
+    fn switch_id(&self, index: usize) -> SwitchId {
+        SwitchId { row: index / self.stride, col: index % self.stride }
     }
 
-    /// Initial route states of a signal that has no committed routes yet.
-    fn seed_states(&self, signal: usize) -> Result<Vec<RouteState>, BuildError> {
-        match &self.b.nodes[signal] {
+    /// Initial route state of a signal that has no committed routes yet.
+    fn seed_state(&self, signal: usize) -> Result<u32, BuildError> {
+        let (sw, line) = match &self.b.nodes[signal] {
             Node::Input { port } => {
-                let sw = self.b.geom.input_port_switch(*port).expect("validated port");
-                Ok(vec![(sw, InDir::ExtIn)])
+                (self.b.geom.input_port_switch(*port).expect("validated port"), InDir::ExtIn)
             }
             Node::Op { .. } => {
-                let fu = self.node_fu.get(&signal).ok_or_else(|| BuildError::Unroutable {
+                let fu = self.node_fu[signal].ok_or_else(|| BuildError::Unroutable {
                     edge: format!("value {signal} used before placement"),
                 })?;
-                Ok(vec![(topo::fu_output_switch(*fu), InDir::FuOut)])
+                (topo::fu_output_switch(fu), InDir::FuOut)
             }
-            Node::Const(_) => Err(BuildError::Unroutable {
-                edge: format!("constant value {signal} cannot be routed"),
-            }),
-        }
+            Node::Const(_) => {
+                return Err(BuildError::Unroutable {
+                    edge: format!("constant value {signal} cannot be routed"),
+                })
+            }
+        };
+        Ok((self.b.geom.switch_index(sw) * InDir::COUNT + line.index()) as u32)
     }
 
     /// Routes `signal` so that register `(goal_sw, goal_dir)` carries it.
@@ -496,73 +588,135 @@ impl<'a> Placer<'a> {
         signal: usize,
         goal_sw: SwitchId,
         goal_dir: OutDir,
-        label: &str,
-    ) -> Result<(), BuildError> {
-        if self.reg_owner.contains_key(&(goal_sw, goal_dir)) {
-            return Err(BuildError::Unroutable { edge: format!("{label}: goal register busy") });
+    ) -> Result<(), RouteMiss> {
+        let goal = self.b.geom.switch_index(goal_sw);
+        if self.reg_owner[goal * OUT_DIRS + goal_dir.index()] != FREE {
+            return Err(RouteMiss::GoalBusy);
         }
-        let mut seeds: Vec<RouteState> = match self.signal_states.get(&signal) {
-            Some(states) if !states.is_empty() => states.iter().copied().collect(),
-            _ => self.seed_states(signal)?,
-        };
-        // HashSet iteration order varies between instances; the BFS breaks
-        // shortest-path ties by seed order, so sort to keep routing (and
-        // therefore every downstream cycle count) fully deterministic.
-        seeds.sort_unstable();
-
-        let mut parent: HashMap<RouteState, Option<(RouteState, OutDir)>> = HashMap::new();
-        let mut queue: VecDeque<RouteState> = VecDeque::new();
-        for s in &seeds {
-            parent.insert(*s, None);
-            queue.push_back(*s);
+        // The search breaks shortest-path ties by seed order, so seeds go
+        // in sorted to keep routing (and every downstream cycle count)
+        // deterministic.
+        let fresh = self.signal_states[signal].is_empty();
+        self.queue.clear();
+        if fresh {
+            let seed = self.seed_state(signal).map_err(RouteMiss::Unsourced)?;
+            self.queue.push(seed);
+        } else {
+            self.queue.extend_from_slice(&self.signal_states[signal]);
+            self.queue.sort_unstable();
         }
-
-        let mut goal_state: Option<RouteState> = None;
-        while let Some(state) = queue.pop_front() {
-            let (sw, _line) = state;
-            if sw == goal_sw {
-                goal_state = Some(state);
-                break;
-            }
-            for d in [OutDir::North, OutDir::South, OutDir::East, OutDir::West] {
-                let Some(next_sw) = topo::neighbor(&self.b.geom, sw, d) else { continue };
-                if self.reg_owner.contains_key(&(sw, d)) {
-                    continue;
-                }
-                let next: RouteState = (next_sw, topo::mirror(d));
-                if parent.contains_key(&next) {
-                    continue;
-                }
-                parent.insert(next, Some((state, d)));
-                queue.push_back(next);
-            }
+        self.epoch += 1;
+        for &s in &self.queue {
+            self.stamp[s as usize] = self.epoch;
+            self.parent[s as usize] = ROOT;
         }
 
-        let Some(goal_state) = goal_state else {
-            return Err(BuildError::Unroutable { edge: label.to_owned() });
+        let goal_state = match self.queue.iter().find(|&&s| s as usize / InDir::COUNT == goal) {
+            Some(&seed) => seed as usize,
+            None => self.search(goal)?,
         };
 
         // Claim the final register, then walk parents claiming hop registers.
-        let (_, arrival_line) = goal_state;
-        self.claim(signal, goal_sw, goal_dir, arrival_line);
+        self.claim(signal, goal * OUT_DIRS + goal_dir.index(), goal_state % InDir::COUNT);
         let mut cursor = goal_state;
-        while let Some(&Some((prev, taken))) = parent.get(&cursor) {
-            let (prev_sw, prev_line) = prev;
-            self.claim(signal, prev_sw, taken, prev_line);
-            self.signal_states.entry(signal).or_default().insert(cursor);
+        while self.parent[cursor] != ROOT {
+            let prev = self.parent[cursor] as usize;
+            let taken = mirror_line(cursor % InDir::COUNT);
+            self.claim(signal, prev / InDir::COUNT * OUT_DIRS + taken, prev % InDir::COUNT);
+            self.reach(signal, cursor);
             cursor = prev;
         }
-        // Record the seed state as reached too (it may have come from
-        // seed_states rather than an existing committed route).
-        self.signal_states.entry(signal).or_default().insert(cursor);
+        // A seed that came from `seed_state` is reached now too; seeds
+        // from committed routes already are.
+        if fresh {
+            self.reach(signal, cursor);
+        }
         Ok(())
     }
 
-    fn claim(&mut self, signal: usize, sw: SwitchId, d: OutDir, source: InDir) {
-        self.cfg.switch_mut(sw).set_source(d, source);
-        self.reg_owner.insert((sw, d), signal);
+    /// Breadth-first search from the seeds in `queue` (already stamped)
+    /// for the first state at switch `goal` in queue order. Every state
+    /// is pushed once, by the first state to reach it, so the first goal
+    /// state pushed is the one a pop-time test would find first: the
+    /// search can stop there instead of draining the layer.
+    fn search(&mut self, goal: usize) -> Result<usize, RouteMiss> {
+        let (rows, cols, stride) = (self.b.geom.rows(), self.b.geom.cols(), self.stride);
+        let mut head = 0;
+        while let Some(&state) = self.queue.get(head) {
+            head += 1;
+            let sw = state as usize / InDir::COUNT;
+            let (row, col) = (sw / stride, sw % stride);
+            // North, South, East, West: `OutDir::index` 0..4.
+            let neighbours = [
+                (row > 0).then(|| sw - stride),
+                (row < rows).then(|| sw + stride),
+                (col < cols).then(|| sw + 1),
+                (col > 0).then(|| sw - 1),
+            ];
+            for (d, next_sw) in neighbours.into_iter().enumerate() {
+                let Some(next_sw) = next_sw else { continue };
+                if self.reg_owner[sw * OUT_DIRS + d] != FREE {
+                    continue;
+                }
+                let next = next_sw * InDir::COUNT + mirror_line(d);
+                if self.stamp[next] == self.epoch {
+                    continue;
+                }
+                self.stamp[next] = self.epoch;
+                self.parent[next] = state;
+                if next_sw == goal {
+                    return Ok(next);
+                }
+                self.queue.push(next as u32);
+            }
+        }
+        Err(RouteMiss::NoPath)
+    }
+
+    /// Drives register `reg` from input line `line` of its switch.
+    fn claim(&mut self, signal: usize, reg: usize, line: usize) {
+        let sw = self.switch_id(reg / OUT_DIRS);
+        self.cfg.switch_mut(sw).set_source(OutDir::ALL[reg % OUT_DIRS], InDir::ALL[line]);
+        self.reg_owner[reg] = signal as u32;
+        self.undo.push(Undo::Claim(reg));
+    }
+
+    fn reach(&mut self, signal: usize, state: usize) {
+        self.signal_states[signal].push(state as u32);
+        self.undo.push(Undo::Reach(signal));
     }
 }
+
+/// Maps a mesh output direction to the line it arrives on at the
+/// neighbour (`topo::mirror`), and back: North and South swap, as do East
+/// and West, which is index `^ 1` in both enums.
+fn mirror_line(index: usize) -> usize {
+    debug_assert!(index < 4, "only mesh directions mirror");
+    index ^ 1
+}
+
+/// Whether the operand order of `op` can be swapped.
+fn is_commutative(op: FuOp) -> bool {
+    matches!(
+        op,
+        FuOp::IAdd
+            | FuOp::IMul
+            | FuOp::IAnd
+            | FuOp::IOr
+            | FuOp::IXor
+            | FuOp::IMax
+            | FuOp::IMin
+            | FuOp::ICmpEq
+            | FuOp::ICmpNe
+            | FuOp::FAdd
+            | FuOp::FMul
+            | FuOp::FMax
+            | FuOp::FMin
+            | FuOp::PredAnd
+            | FuOp::PredOr
+    )
+}
+
 
 #[cfg(test)]
 mod tests {
@@ -753,6 +907,72 @@ mod tests {
         let cfg = b.build().unwrap();
         assert_eq!(cfg.vec_in(0), &[0, 1]);
         assert_eq!(cfg.vec_out(0), &[0]);
+    }
+
+    /// Seeded random graphs on 1x1 to 3x3 grids of three kind mixes:
+    /// whenever the capacity check fails, the graph builds neither
+    /// greedily nor under any of 20 random hint sets, and every graph that
+    /// builds passes the check. The check is what lets the scheduler skip
+    /// refinement without changing its result.
+    #[test]
+    fn capacity_check_holds_for_every_build() {
+        use dyser_rng::Rng64;
+        const OPS: [FuOp; 10] = [
+            FuOp::IAdd,
+            FuOp::ISub,
+            FuOp::IMul,
+            FuOp::IXor,
+            FuOp::ICmpSLt,
+            FuOp::FAdd,
+            FuOp::FMul,
+            FuOp::FSqrt,
+            FuOp::Select,
+            FuOp::PassA,
+        ];
+        let mut rng = Rng64::seed_from_u64(0xF175);
+        let (mut refused, mut built) = (0, 0);
+        for case in 0..300 {
+            let g = FabricGeometry::new(rng.gen_range(1..4), rng.gen_range(1..4));
+            let kinds = match case % 3 {
+                0 => g.fus().map(|fu| FuKind::default_pattern(fu.row, fu.col)).collect(),
+                1 => vec![FuKind::IntSimple; g.fu_count()],
+                _ => vec![FuKind::Universal; g.fu_count()],
+            };
+            let mut b = ConfigBuilder::with_kinds(g, kinds).unwrap();
+            let mut values: Vec<ValueId> =
+                (0..rng.gen_range(1..4)).map(|p| b.input_value(p)).collect();
+            values.push(b.const_value(7));
+            let mut ops = Vec::new();
+            for _ in 0..rng.gen_range(1..2 * g.fu_count() + 2) {
+                let op = OPS[rng.gen_range(0..OPS.len())];
+                let args: Vec<ValueId> =
+                    (0..op.arity()).map(|_| values[rng.gen_range(0..values.len())]).collect();
+                let v = b.op(op, &args);
+                values.push(v);
+                ops.push(v);
+            }
+            b.output_value(*ops.last().unwrap(), 0);
+
+            let mut builds = usize::from(b.build().is_ok());
+            for _ in 0..20 {
+                b.clear_hints();
+                for &v in &ops {
+                    if rng.gen_bool(0.5) {
+                        let row = rng.gen_range(0..g.rows());
+                        b.hint(v, FuId { row, col: rng.gen_range(0..g.cols()) });
+                    }
+                }
+                builds += usize::from(b.build().is_ok());
+            }
+            assert!(b.fits() || builds == 0, "case {case}: {builds} builds of an unfittable graph");
+            if !b.fits() {
+                refused += 1;
+            }
+            if builds > 0 {
+                built += 1;
+            }
+        }
+        assert!(refused > 30 && built > 30, "exercised: {refused} refused, {built} built");
     }
 
     #[test]

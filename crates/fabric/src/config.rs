@@ -8,7 +8,6 @@
 //! configuration-load latency is derived — the overhead the paper's
 //! invocation-count experiment (E7) amortises.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::geom::{FabricGeometry, FuId, SwitchId};
@@ -708,11 +707,11 @@ impl FabricConfig {
         }
 
         // FU operand slots and switch drives must agree, and arity must match.
-        let mut driven: HashMap<(FuId, usize), SwitchId> = HashMap::new();
+        let mut driven = vec![false; self.geometry.fu_count() * 3];
         for sw in self.geometry.switches() {
             for (d, _) in self.switch(sw).routes() {
                 if let Some((fu, slot)) = topo::fu_operand_target(&self.geometry, sw, d) {
-                    driven.insert((fu, slot), sw);
+                    driven[self.geometry.fu_index(fu) * 3 + slot] = true;
                 }
             }
         }
@@ -723,7 +722,7 @@ impl FabricConfig {
                     cfg.map(|c| c.operands[slot]),
                     Some(OperandSrc::Switch)
                 );
-                let has = driven.contains_key(&(fu, slot));
+                let has = driven[self.geometry.fu_index(fu) * 3 + slot];
                 if expects && !has {
                     return Err(ConfigError::UndrivenOperand { fu, slot });
                 }
@@ -767,35 +766,45 @@ impl FabricConfig {
         let regs: Vec<(SwitchId, OutDir)> = self
             .geometry
             .switches()
-            .flat_map(|sw| self.switch(sw).routes().map(move |(d, _)| (sw, d)).collect::<Vec<_>>())
+            .flat_map(|sw| self.switch(sw).routes().map(move |(d, _)| (sw, d)))
             .collect();
-        let index: HashMap<(SwitchId, OutDir), usize> =
-            regs.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); regs.len()];
+        // Register `(sw, d)` is node `index[switch_index(sw) * 8 + d.index()]`.
+        let width = OutDir::ALL.len();
+        let mut index = vec![usize::MAX; self.geometry.switch_count() * width];
         for (i, &(sw, d)) in regs.iter().enumerate() {
+            index[self.geometry.switch_index(sw) * width + d.index()] = i;
+        }
+        // Successors in CSR form: node `i` feeds `targets[starts[i]..starts[i + 1]]`.
+        let mut starts = Vec::with_capacity(regs.len() + 1);
+        let mut targets = Vec::new();
+        for &(sw, d) in &regs {
+            starts.push(targets.len());
             if let Some(sw2) = topo::neighbor(&self.geometry, sw, d) {
                 let arrive = topo::mirror(d);
                 for (d2, src2) in self.switch(sw2).routes() {
                     if src2 == arrive {
-                        succs[i].push(index[&(sw2, d2)]);
+                        targets.push(index[self.geometry.switch_index(sw2) * width + d2.index()]);
                     }
                 }
             }
         }
+        starts.push(targets.len());
         // Iterative DFS with colours; produce reverse-postorder (sinks first
         // means we emit a node after all its successors).
         let mut colour = vec![0u8; regs.len()]; // 0 white, 1 grey, 2 black
         let mut order = Vec::with_capacity(regs.len());
+        let mut stack = Vec::new();
         for start in 0..regs.len() {
             if colour[start] != 0 {
                 continue;
             }
-            let mut stack = vec![(start, 0usize)];
+            stack.push((start, 0usize));
             colour[start] = 1;
             while let Some(&(node, child)) = stack.last() {
-                if child < succs[node].len() {
+                let succs = &targets[starts[node]..starts[node + 1]];
+                if child < succs.len() {
                     stack.last_mut().expect("stack is non-empty").1 += 1;
-                    let next = succs[node][child];
+                    let next = succs[child];
                     match colour[next] {
                         0 => {
                             colour[next] = 1;

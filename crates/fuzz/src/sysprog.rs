@@ -158,7 +158,7 @@ pub fn data_bytes(r: &SysRecipe) -> Vec<u8> {
 /// The stdin bytes available to the recipe's `read` ops.
 #[must_use]
 pub fn stdin_bytes(r: &SysRecipe) -> Vec<u8> {
-    let mut s = (r.data_seed ^ 0x5717_D10) | 1;
+    let mut s = (r.data_seed ^ 0x0571_7D10) | 1;
     (0..r.stdin_len).map(|_| (xorshift(&mut s) & 0xFF) as u8).collect()
 }
 
@@ -461,7 +461,7 @@ pub fn sys_recipe_from_json(text: &str) -> Result<SysRecipe, String> {
         let at = text.find(&pat).ok_or_else(|| format!("missing `{key}`"))?;
         let rest = text[at + pat.len()..].trim_start();
         let end = rest
-            .find(|c: char| c == ',' || c == '\n' || c == '}')
+            .find([',', '\n', '}'])
             .ok_or_else(|| format!("unterminated `{key}`"))?;
         Ok(rest[..end].trim())
     }

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 
-use dyser_bench::dse::{point_sim, DsePoint, FuMix, MemPreset};
+use dyser_bench::dse::{check_unroll, point_sim, DsePoint, FuMix, MemPreset};
 use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED};
 use dyser_bench::serve::{
     envelope_json, read_http_request, write_http_response, HttpRequest, JobError, JobRequest,
@@ -355,6 +355,7 @@ fn dse_point_inputs(
         return Err(JobError::UnknownKernel(kernel.clone()));
     };
     let mem = MemPreset::parse(mem).map_err(JobError::InvalidRequest)?;
+    check_unroll(*unroll).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
     let point = DsePoint {
         kernel: kernel.clone(),
         rows: *rows,

@@ -503,6 +503,60 @@ fn dse_point_jobs_match_in_process_sweep_metrics() {
     }
 }
 
+/// A 16x16 fabric has 33 ports on each side but the ISA names only 32.
+/// A point whose unrolled slice needs all 33 must fall back to a smaller
+/// unroll and answer, not fail inside code generation.
+#[test]
+fn dse_point_on_the_widest_fabric_stays_within_isa_ports() {
+    let _g = lock();
+    let url = spawn_server(2);
+    let job = JobRequest::DsePoint {
+        kernel: "dot".into(),
+        n: 64,
+        rows: 16,
+        cols: 16,
+        universal: true,
+        fifo_depth: 4,
+        mem: "default".into(),
+        unroll: 16,
+        run: RunSpec::default(),
+    };
+    match submit(&url, &job) {
+        Ok(JobResult::DsePoint { kernel, cycles, .. }) => {
+            assert_eq!(kernel, "dot");
+            assert!(cycles > 0);
+        }
+        other => panic!("16x16 dse-point job failed: {other:?}"),
+    }
+}
+
+/// Unroll factors outside `1..=256` are refused as typed errors before
+/// anything compiles: compile time grows with the square of the factor.
+#[test]
+fn dse_point_unrolls_out_of_bounds_are_rejected_before_compiling() {
+    let _g = lock();
+    let url = spawn_server(1);
+    let misses = dyser_core::compile_cache_misses();
+    for unroll in [0, 1_000_000] {
+        let job = JobRequest::DsePoint {
+            kernel: "saxpy".into(),
+            n: 16,
+            rows: 2,
+            cols: 2,
+            universal: false,
+            fifo_depth: 2,
+            mem: "default".into(),
+            unroll,
+            run: RunSpec::default(),
+        };
+        match submit(&url, &job) {
+            Err(JobError::InvalidRequest(m)) => assert!(m.contains("unroll factor"), "{m}"),
+            other => panic!("unroll {unroll}: expected invalid-request, got {other:?}"),
+        }
+    }
+    assert_eq!(dyser_core::compile_cache_misses(), misses, "a rejected point compiled");
+}
+
 /// A single-shard daemon flooded with `DsePoint` jobs must drain them
 /// into lockstep batches (one worker, many queued connections) and still
 /// answer every job with metrics bit-identical to an in-process
