@@ -25,8 +25,8 @@
 
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
 use dyser_bench::{
-    load_reference, run_experiment, run_fuzz_cli, stats_attribution, time_batch, time_experiments,
-    time_fuzz, timing_json, Scale, EXPERIMENT_IDS,
+    load_reference, run_experiment, run_fuzz_cli, stats_attribution, time_experiments, time_fuzz,
+    timing_json, Scale, EXPERIMENT_IDS,
 };
 
 /// Default measured repetitions per experiment in `--time` mode (after
@@ -84,12 +84,11 @@ fn timing_path(ids: &[&str]) -> &'static str {
 
 /// `repro dse [--kernels a,b] [--dims 2,4] [--mixes default,universal]
 /// [--fifos 1,4] [--mems default,tiny] [--unrolls 1,8] [--n N]
-/// [--no-prune] [--no-batch] [--csv] [--backend B] [--serve URL]`: the
-/// design-space exploration driver. Survivors run through the lockstep
-/// batch scheduler unless `--no-batch` selects the serial
-/// one-task-per-point path (both are bit-identical). Axis values are validated up front (a `--dims 0`
-/// or `--fifos 0` sweep exits with the fabric's own typed configuration
-/// error); any filter flag redirects the report to
+/// [--no-prune] [--csv] [--backend B] [--serve URL]`: the design-space
+/// exploration driver. Survivors run one harness task per point. Axis
+/// values are validated up front (a `--dims 0` or `--fifos 0` sweep
+/// exits with the fabric's own typed configuration error); any filter
+/// flag redirects the report to
 /// `BENCH_dse.partial.json`. Never returns.
 fn dse_main(mut args: Vec<String>) -> ! {
     use dyser_bench::dse::{self, DsePlan, FuMix, MemPreset, PointSim};
@@ -138,12 +137,11 @@ fn dse_main(mut args: Vec<String>) -> ! {
     if args.iter().any(|a| a == "--no-prune") {
         plan.prune = false;
     }
-    let batch = !args.iter().any(|a| a == "--no-batch");
-    args.retain(|a| a != "--csv" && a != "--no-prune" && a != "--no-batch");
+    args.retain(|a| a != "--csv" && a != "--no-prune");
     if let Some(stray) = args.first() {
         eprintln!(
             "unknown dse argument `{stray}`; valid: --kernels --dims --mixes --fifos \
-             --mems --unrolls --n N --no-prune --no-batch --csv --backend B --serve URL"
+             --mems --unrolls --n N --no-prune --csv --backend B --serve URL"
         );
         std::process::exit(2);
     }
@@ -172,7 +170,7 @@ fn dse_main(mut args: Vec<String>) -> ! {
                 Err(e) => Err(format!("{p} via {url}: {e}")),
             }
         }),
-        None => dse::run_dse_batch(&plan, batch),
+        None => dse::run_dse(&plan),
     };
     let outcome = match outcome {
         Ok(o) => o,
@@ -200,11 +198,8 @@ fn dse_main(mut args: Vec<String>) -> ! {
     std::process::exit(0);
 }
 
-/// `repro fuzz [--cases N] [--seed S] [--shrink] [--no-batch]
-/// [--time [--reps N]]`: the differential-fuzzing campaign driver.
-/// Oracle legs run through the lockstep batch scheduler unless
-/// `--no-batch` selects the serial path (both are bit-identical).
-/// Never returns.
+/// `repro fuzz [--cases N] [--seed S] [--shrink] [--time [--reps N]]`:
+/// the differential-fuzzing campaign driver. Never returns.
 fn fuzz_main(mut args: Vec<String>) -> ! {
     let cases = take_value(&mut args, "--cases", parse_u64).unwrap_or(FUZZ_CASES);
     let seed = take_value(&mut args, "--seed", parse_u64).unwrap_or(FUZZ_SEED);
@@ -214,12 +209,10 @@ fn fuzz_main(mut args: Vec<String>) -> ! {
     .unwrap_or(TIME_REPS);
     let shrink = args.iter().any(|a| a == "--shrink");
     let time = args.iter().any(|a| a == "--time");
-    let batch = !args.iter().any(|a| a == "--no-batch");
-    args.retain(|a| a != "--shrink" && a != "--time" && a != "--no-batch");
+    args.retain(|a| a != "--shrink" && a != "--time");
     if let Some(stray) = args.first() {
         eprintln!(
-            "unknown fuzz argument `{stray}`; valid: --cases N --seed S --shrink --no-batch \
-             --time --reps N"
+            "unknown fuzz argument `{stray}`; valid: --cases N --seed S --shrink --time --reps N"
         );
         std::process::exit(2);
     }
@@ -235,13 +228,13 @@ fn fuzz_main(mut args: Vec<String>) -> ! {
             timing.mcycles_per_sec,
             cases_per_sec
         );
-        let json = timing_json(&[timing], reps, &reference, Some(cases_per_sec), None);
+        let json = timing_json(&[timing], reps, &reference, Some(cases_per_sec));
         let path = timing_path(&[]);
         write_or_exit(path, &json);
         println!("wrote {path}");
         std::process::exit(0);
     }
-    std::process::exit(run_fuzz_cli(cases, seed, shrink, batch));
+    std::process::exit(run_fuzz_cli(cases, seed, shrink));
 }
 
 fn main() {
@@ -336,9 +329,7 @@ fn main() {
                 );
             }
         }
-        let batch_mps = time_batch(reps);
-        println!("{:>8}  {batch_mps:>8.2} Mcyc/s  (suite as one ragged lockstep batch)", "batch");
-        let json = timing_json(&timings, reps, &reference, None, Some(batch_mps));
+        let json = timing_json(&timings, reps, &reference, None);
         let path = timing_path(&ids);
         write_or_exit(path, &json);
         println!("wrote {path}");

@@ -36,8 +36,7 @@
 use std::fmt;
 
 use dyser_core::{
-    compile_cached, default_workers, parallel_map, run_kernel, run_kernel_batch, Backend,
-    KernelJob, KernelResult, RunConfig,
+    compile_cached, default_workers, parallel_map, run_kernel, Backend, KernelResult, RunConfig,
 };
 use dyser_energy::{Activity, EnergyModel};
 use dyser_fabric::{FabricConfigError, FabricGeometry, DEFAULT_CONFIG_BUS_BITS};
@@ -875,47 +874,19 @@ fn mark_pareto(records: &mut [DseRecord]) {
 }
 
 /// Runs the sweep: enumerate, estimate, prune, simulate survivors
-/// locally through the parallel harness, mark the Pareto front.
+/// locally through the parallel harness ([`run_kernel`] per point), mark
+/// the Pareto front.
 ///
 /// # Errors
 ///
 /// Returns a typed [`DseError`] for invalid plans, compile failures, or
 /// survivor simulation failures.
 pub fn run_dse(plan: &DsePlan) -> Result<DseOutcome, DseError> {
-    run_dse_batch(plan, true)
-}
-
-/// [`run_dse`] with the lockstep batch runner toggled explicitly — the
-/// CLI's `--no-batch` flag routes here with `batch = false` to recover
-/// the one-harness-task-per-point path. Both paths are bit-identical;
-/// CI diffs their JSON byte-for-byte.
-///
-/// # Errors
-///
-/// See [`run_dse`].
-pub fn run_dse_batch(plan: &DsePlan, batch: bool) -> Result<DseOutcome, DseError> {
-    if batch {
-        run_dse_with_many(plan, |requests| {
-            let jobs: Vec<KernelJob> = requests
-                .iter()
-                .map(|(kernel, _, rc)| (kernel.case(plan.n, SEED), rc.clone()))
-                .collect();
-            run_kernel_batch(&jobs, default_workers())
-                .into_iter()
-                .zip(requests)
-                .map(|(result, (_, point, rc))| {
-                    let result = result.map_err(|e| format!("{point}: {e}"))?;
-                    Ok(point_sim(&result, rc.system.geometry.fu_count()))
-                })
-                .collect()
-        })
-    } else {
-        run_dse_with(plan, |kernel, point, rc| {
-            let case = kernel.case(plan.n, SEED);
-            let result = run_kernel(&case, rc).map_err(|e| format!("{point}: {e}"))?;
-            Ok(point_sim(&result, rc.system.geometry.fu_count()))
-        })
-    }
+    run_dse_with(plan, |kernel, point, rc| {
+        let case = kernel.case(plan.n, SEED);
+        let result = run_kernel(&case, rc).map_err(|e| format!("{point}: {e}"))?;
+        Ok(point_sim(&result, rc.system.geometry.fu_count()))
+    })
 }
 
 /// [`run_dse`] with a caller-supplied per-point survivor runner — the
@@ -943,10 +914,10 @@ pub fn run_dse_with(
 pub type DseRequest<'a> = (&'a Kernel, DsePoint, RunConfig);
 
 /// The generalized sweep driver: enumerate, calibrate, estimate, prune,
-/// then hand *all* survivors to `simulate_many` in one call so the hook
-/// can batch them ([`run_dse_batch`] steps them in lockstep through
-/// [`run_kernel_batch`]). The hook must return one result per request,
-/// in request order.
+/// then hand *all* survivors to `simulate_many` in one call, so the hook
+/// decides how to schedule them ([`run_dse_with`] fans them out one
+/// point per task). The hook must return one result per request, in
+/// request order.
 ///
 /// # Errors
 ///
@@ -968,7 +939,7 @@ pub fn run_dse_with_many(
 
     // Calibration: one simulated anchor per kernel scales the analytic
     // model's absolute level. The anchors go through the same compile
-    // cache and simulate hook as the survivors, as one small batch.
+    // cache and simulate hook as the survivors, in one hook call.
     let mut anchor_requests: Vec<DseRequest<'_>> = Vec::with_capacity(plan.kernels.len());
     for name in &plan.kernels {
         let kernel = kernel_of(name);
@@ -1023,8 +994,7 @@ pub fn run_dse_with_many(
     };
     let points_pruned = points_total - survivors.len();
 
-    // Simulate survivors: one hook call over the whole set, so the
-    // batched runner can pack them into lockstep batches.
+    // Simulate survivors: one hook call over the whole set.
     let mut requests: Vec<DseRequest<'_>> = Vec::with_capacity(survivors.len());
     for (p, _) in &survivors {
         let kernel = kernel_of(&p.kernel);
@@ -1152,13 +1122,6 @@ mod tests {
         let a = run_dse(&tiny_plan()).expect("first run").to_json();
         let b = run_dse(&tiny_plan()).expect("second run").to_json();
         assert_eq!(a, b, "same plan, same bytes");
-    }
-
-    #[test]
-    fn batched_sweep_matches_serial() {
-        let batched = run_dse_batch(&tiny_plan(), true).expect("batched run").to_json();
-        let serial = run_dse_batch(&tiny_plan(), false).expect("serial run").to_json();
-        assert_eq!(batched, serial, "lockstep batching must not change a single byte");
     }
 
     #[test]

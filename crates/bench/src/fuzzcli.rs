@@ -16,20 +16,17 @@ use crate::timing::Timing;
 pub const FAILURE_DIR: &str = "fuzz-failures";
 
 /// Runs a campaign and prints the human report. Returns the process exit
-/// code: zero only for a clean campaign. `batch` routes the oracle's
-/// simulation legs through the lockstep batch scheduler (the default);
-/// `repro fuzz --no-batch` recovers the one-case-at-a-time path.
+/// code: zero only for a clean campaign.
 #[must_use]
-pub fn run_fuzz_cli(cases: u64, seed: u64, shrink: bool, batch: bool) -> i32 {
+pub fn run_fuzz_cli(cases: u64, seed: u64, shrink: bool) -> i32 {
     let t0 = Instant::now();
-    let report =
-        run_campaign(&CampaignConfig { cases, seed, shrink, batch, ..CampaignConfig::default() });
+    let report = run_campaign(&CampaignConfig { cases, seed, shrink, ..CampaignConfig::default() });
     let secs = t0.elapsed().as_secs_f64();
     print_report(&report, seed, secs);
 
     // The syscall leg: trap-sequence programs checked for identical
     // stdout/stderr bytes, exit codes, and cycle buckets on every
-    // engine. Scaled down — each case already runs six engine legs.
+    // engine. Scaled down — each case already runs three engine legs.
     let sys_cases = (cases / 4).max(25);
     let t1 = Instant::now();
     let sys_report = run_sys_campaign(sys_cases, seed);

@@ -21,10 +21,10 @@ pub mod serve;
 pub mod table;
 pub mod timing;
 
-pub use dse::{dse_path, run_dse, run_dse_batch, DseOutcome, DsePlan};
+pub use dse::{dse_path, run_dse, DseOutcome, DsePlan};
 pub use experiments::{
     clear_result_memo, result_memo_stats, run_experiment, stats_attribution, Scale, EXPERIMENT_IDS,
 };
 pub use fuzzcli::{run_fuzz_cli, time_fuzz};
 pub use table::{ExpTable, TableError};
-pub use timing::{load_reference, time_batch, time_experiments, timing_json, Reference, Timing};
+pub use timing::{load_reference, time_experiments, timing_json, Reference, Timing};

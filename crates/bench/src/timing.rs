@@ -5,12 +5,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dyser_core::{
-    cycle_bucket_totals, default_workers, run_kernel_batch, simulated_cycles, KernelJob, RunConfig,
-};
+use dyser_core::{cycle_bucket_totals, simulated_cycles};
 use dyser_sparc::CycleBucket;
 
-use crate::experiments::{run_experiment, SEED};
+use crate::experiments::run_experiment;
 
 /// Pre-change reference medians in milliseconds — `repro e2` (the micro
 /// suite) and `repro all` measured on the same machine with the same
@@ -157,50 +155,6 @@ fn median_sorted(walls: &[f64]) -> f64 {
     if walls.len().is_multiple_of(2) { (walls[mid - 1] + walls[mid]) / 2.0 } else { walls[mid] }
 }
 
-/// Batched-lockstep throughput: every suite kernel at a quarter of its
-/// default size submitted as ONE ragged mixed-kernel batch through
-/// [`run_kernel_batch`], one untimed warmup (fills the compile cache),
-/// then `reps` measured repetitions. Returns simulated Mcycles per
-/// second at the median wall time — the `batch_mcycles_per_sec` figure
-/// in `BENCH_repro.json`, tracking the lockstep engine's throughput
-/// alongside the per-experiment serial numbers.
-///
-/// # Panics
-///
-/// Panics if any suite kernel fails verification under batching — that
-/// is a correctness bug, not a timing artifact.
-#[must_use]
-pub fn time_batch(reps: usize) -> f64 {
-    let reps = reps.max(1);
-    let jobs: Vec<KernelJob> = dyser_workloads::suite()
-        .iter()
-        .map(|k| {
-            let n = (k.default_n / 4).max(8) / 4 * 4;
-            let mut config = RunConfig::default();
-            config.compiler = k.compiler_options(config.system.geometry);
-            (k.case(n, SEED), config)
-        })
-        .collect();
-    let run = |jobs: &[KernelJob]| {
-        for result in run_kernel_batch(jobs, default_workers()) {
-            result.expect("suite kernel verifies under batching");
-        }
-    };
-    run(&jobs);
-    let mut walls = Vec::with_capacity(reps);
-    let mut cycles = 0;
-    for _ in 0..reps {
-        let c0 = simulated_cycles();
-        let t0 = Instant::now();
-        run(&jobs);
-        walls.push(t0.elapsed().as_secs_f64() * 1e3);
-        cycles = simulated_cycles() - c0;
-    }
-    walls.sort_by(f64::total_cmp);
-    let median = median_sorted(&walls);
-    if median > 0.0 { cycles as f64 / 1e6 / (median / 1e3) } else { 0.0 }
-}
-
 /// Renders the measurements as the `BENCH_repro.json` document.
 ///
 /// The `reference` block restates `reference`'s medians and, when the
@@ -209,16 +163,13 @@ pub fn time_batch(reps: usize) -> f64 {
 /// block snapshots the process-wide cycle attribution accumulated across
 /// every simulated run so far (see [`cycle_bucket_totals`]).
 /// `fuzz_cases_per_sec` (from `repro fuzz --time`) tracks differential
-/// fuzz throughput alongside kernel throughput; `batch_mcycles_per_sec`
-/// (from [`time_batch`]) tracks the lockstep engine's ragged-batch
-/// throughput.
+/// fuzz throughput alongside kernel throughput.
 #[must_use]
 pub fn timing_json(
     timings: &[Timing],
     reps: usize,
     reference: &Reference,
     fuzz_cases_per_sec: Option<f64>,
-    batch_mcycles_per_sec: Option<f64>,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -250,9 +201,6 @@ pub fn timing_json(
     let _ = writeln!(s, "  \"total_wall_ms_median\": {total:.3},");
     if let Some(cps) = fuzz_cases_per_sec {
         let _ = writeln!(s, "  \"fuzz_cases_per_sec\": {cps:.1},");
-    }
-    if let Some(mps) = batch_mcycles_per_sec {
-        let _ = writeln!(s, "  \"batch_mcycles_per_sec\": {mps:.3},");
     }
     let acct = cycle_bucket_totals();
     s.push_str("  \"cycle_buckets\": {\n");
@@ -290,9 +238,8 @@ mod tests {
         assert_eq!(timings[0].id, "e1");
         assert!(timings[0].wall_ms_median >= timings[0].wall_ms_min);
         assert!(timings[0].config_only, "e1 renders static tables; it simulates nothing");
-        let json = timing_json(&timings, 1, &Reference::default(), None, None);
+        let json = timing_json(&timings, 1, &Reference::default(), None);
         assert!(!json.contains("fuzz_cases_per_sec"), "no fuzz timing was supplied");
-        assert!(!json.contains("batch_mcycles_per_sec"), "no batch timing was supplied");
         assert!(json.contains("\"id\": \"e1\""));
         assert!(json.contains("\"config_only\": true"));
         assert!(
@@ -332,9 +279,8 @@ mod tests {
                 config_only: false,
             })
             .collect();
-        let json = timing_json(&timings, 3, &Reference::default(), Some(123.45), Some(42.5));
+        let json = timing_json(&timings, 3, &Reference::default(), Some(123.45));
         assert!(json.contains("\"fuzz_cases_per_sec\": 123.5"), "{json}");
-        assert!(json.contains("\"batch_mcycles_per_sec\": 42.500"), "{json}");
         let dir = std::env::temp_dir().join("dyser-timing-roundtrip");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("BENCH_repro.json");

@@ -4,7 +4,8 @@
 //! `System::run_stepped` (the per-cycle reference), and
 //! `System::run_compiled` (translated-block thunks) for every workload,
 //! including DySER-active ones with port transfers in flight, under both
-//! the serial and the parallel harness, and across mid-stall timeouts.
+//! the serial and the parallel harness, and across mid-stall timeouts
+//! (exact `Timeout` cycles, stats, and memory images).
 
 use dyser_bench::experiments::SEED;
 use dyser_core::{
@@ -12,7 +13,7 @@ use dyser_core::{
     SystemConfig,
 };
 use dyser_fabric::FuKind;
-use dyser_isa::{regs, AluOp, Assembler, Instr, LoadKind, Op2};
+use dyser_isa::{regs, AluOp, Assembler, Instr, LoadKind, Op2, StoreKind};
 use dyser_workloads::suite;
 
 /// The three execution paths under test.
@@ -135,35 +136,51 @@ fn backends_are_bit_identical_serial_and_parallel() {
     }
 }
 
-/// An endless loop whose body keeps long-latency stalls in flight:
-/// cache-missing loads, an 8-cycle multiply, and a 40-cycle divide, so
-/// most cycle budgets cut the run mid-stall.
-fn stally_spin() -> Vec<u32> {
+/// An endless loop that keeps long-latency stalls in flight —
+/// cache-missing loads, an 8-cycle multiply, a 40-cycle divide — and
+/// stores every quotient, so most budgets cut the run mid-stall and the
+/// memory image depends on exactly how many iterations completed.
+fn stally_spin_with_stores() -> Vec<u32> {
     let mut asm = Assembler::new();
     asm.push(Instr::Sethi { rd: regs::O0, imm22: 0x800 }); // %o0 = 0x20_0000
+    asm.push(Instr::Sethi { rd: regs::O4, imm22: 0xc00 }); // %o4 = 0x30_0000
     asm.label("spin");
     asm.push(Instr::Load { kind: LoadKind::Ldx, rd: regs::O1, rs1: regs::O0, op2: Op2::Imm(0) });
     asm.push(Instr::alu(AluOp::Mulx, regs::O2, regs::O1, Op2::Imm(3)));
     asm.push(Instr::alu(AluOp::Sdivx, regs::O3, regs::O2, Op2::Imm(7)));
+    asm.push(Instr::Store { kind: StoreKind::Stx, rs: regs::O3, rs1: regs::O4, op2: Op2::Imm(0) });
     asm.push(Instr::alu(AluOp::Add, regs::O0, regs::O0, Op2::Imm(64)));
+    asm.push(Instr::alu(AluOp::Add, regs::O4, regs::O4, Op2::Imm(8)));
     asm.branch(dyser_isa::ICond::Always, "spin");
     asm.push(Instr::Nop);
     asm.assemble().expect("spin assembles")
 }
 
+/// The array `stally_spin_with_stores` loads from, one word per 64-byte
+/// line; seeded nonzero so every stored quotient is nonzero too.
+const LOAD_BASE: u64 = 0x20_0000;
+/// The store region `stally_spin_with_stores` writes: enough words to
+/// cover every iteration any budget in the sweep can complete.
+const STORE_BASE: u64 = 0x30_0000;
+const STORE_WORDS: usize = 64;
+
 #[test]
 fn timeout_mid_stall_reports_identical_cycles_all_ways() {
-    let words = stally_spin();
+    let words = stally_spin_with_stores();
     // Sweep budgets across a couple of loop iterations so some cut the
     // run mid-stall and some on an issue cycle; a bulk skip must never
-    // overshoot the budget on any path. The fabric-free system (E10's
-    // pure baseline) takes the same fast paths, so cover both.
+    // overshoot the budget on any path, and every store retired before
+    // the budget ran out must be in memory on every path. The
+    // fabric-free system (E10's pure baseline) takes the same fast
+    // paths, so cover both.
+    let inputs: Vec<u64> = (1..=8 * STORE_WORDS as u64).map(|i| i * 1000 + 7).collect();
     for has_fabric in [true, false] {
+        let mut stored = false;
         for max_cycles in (40..=160).step_by(7) {
-            let run_one = |mode: Mode| -> (u64, dyser_core::RunStats) {
-                let mut sys =
-                    System::new(SystemConfig { has_fabric, ..SystemConfig::default() });
+            let run_one = |mode: Mode| -> (u64, dyser_core::RunStats, Vec<u64>) {
+                let mut sys = System::new(SystemConfig { has_fabric, ..SystemConfig::default() });
                 sys.load_raw(0x10000, &words);
+                sys.memory_mut().write_u64_slice(LOAD_BASE, &inputs);
                 let err = match mode {
                     Mode::Stepped => sys.run_stepped(max_cycles),
                     Mode::Fast => sys.run(max_cycles),
@@ -173,18 +190,25 @@ fn timeout_mid_stall_reports_identical_cycles_all_ways() {
                 let SysError::Timeout { cycles } = err else {
                     panic!("expected timeout, got {err}");
                 };
-                (cycles, sys.stats())
+                (cycles, sys.stats(), sys.memory().read_u64_slice(STORE_BASE, STORE_WORDS))
             };
-            let (stepped_cycles, stepped_stats) = run_one(Mode::Stepped);
+            let (stepped_cycles, stepped_stats, stepped_image) = run_one(Mode::Stepped);
             assert_eq!(stepped_cycles, max_cycles, "stepped timeout off the budget");
+            stored |= stepped_image.iter().any(|&w| w != 0);
             for (mode, label) in [(Mode::Fast, "fast-forwarded"), (Mode::Compiled, "compiled")] {
-                let (cycles, stats) = run_one(mode);
+                let (cycles, stats, image) = run_one(mode);
                 assert_eq!(cycles, max_cycles, "{label} timeout overshot or undershot");
                 assert_eq!(
                     stats, stepped_stats,
                     "max_cycles={max_cycles}: {label} stats diverged at timeout"
                 );
+                assert_eq!(
+                    image, stepped_image,
+                    "max_cycles={max_cycles} (fabric={has_fabric}): {label} memory image \
+                     diverged at timeout"
+                );
             }
         }
+        assert!(stored, "no budget in the ladder retired a store (fabric={has_fabric})");
     }
 }

@@ -3,17 +3,15 @@
 //! Table-driven machine-level tests of the FASE-style proxy kernel:
 //! every syscall in the ABI (`exit`, `read`, `write`, `brk`, `gettime`)
 //! is exercised through real trap instructions on full systems, on every
-//! engine — `run`, `run_stepped`, `run_compiled`, and all three batch
-//! engines — and each case asserts that stats, captured streams, exit
-//! codes, and scratch memory are bit-identical everywhere. Error paths
+//! engine — `run`, `run_stepped`, and `run_compiled` — and each case
+//! asserts that stats, captured streams, exit codes, and scratch memory
+//! are bit-identical everywhere. Error paths
 //! (bad fds, brk shrink, reads past EOF, unknown trap numbers) are part
 //! of the table, and the process-startup image (argv/envp layout) is
 //! checked byte by byte, both from the host side and as the guest
 //! program observes it.
 
-use dyser_core::{
-    run_batch, BatchEngine, BatchItem, SysError, System, SystemConfig, HEAP_BASE, STACK_BASE,
-};
+use dyser_core::{SysError, System, SystemConfig, HEAP_BASE, STACK_BASE};
 use dyser_isa::{regs, AluOp, Assembler, Instr, LoadKind, Op2, RCond, StoreKind};
 use dyser_sparc::syscall::{
     service_cost, SYS_BRK, SYS_ERR, SYS_EXIT, SYS_GETTIME, SYS_READ, SYS_WRITE,
@@ -74,15 +72,6 @@ fn conformant(
     let mut s = fresh(words, stdin);
     let r = s.run_compiled(MAX);
     runs.push(("compiled", s, r));
-    for (label, engine) in [
-        ("batch-interpreted", BatchEngine::Interpreted),
-        ("batch-stepped", BatchEngine::Stepped),
-        ("batch-compiled", BatchEngine::Compiled),
-    ] {
-        let report = run_batch(vec![BatchItem::new(fresh(words, stdin), MAX, engine)]);
-        let outcome = report.outcomes.into_iter().next().expect("one outcome");
-        runs.push((label, outcome.system, outcome.result));
-    }
     let reference = format!("{:?}", runs[0].2);
     for (label, sys, result) in &runs[1..] {
         assert_eq!(

@@ -19,7 +19,6 @@ use dyser_compiler::{
 use dyser_sparc::{CycleAccount, CycleBucket};
 use dyser_trace::TraceRun;
 
-use crate::batch::{run_batch, BatchEngine, BatchItem};
 use crate::system::{RunStats, SpeedStats, SysError, System, SystemConfig};
 
 /// A runnable kernel instance: IR, arguments, input memory, and the
@@ -351,9 +350,9 @@ pub fn take_traces() -> Vec<TraceRun> {
 
 /// Credits one finished run to the process-wide accounting: simulated
 /// cycles, cycle buckets, and issue-path cache counters. Every path that
-/// completes a simulation — serial or batched — must pass through here
-/// exactly once per run, so `repro --time` throughput and `repro stats`
-/// attribution describe the whole process regardless of scheduler.
+/// completes a simulation must pass through here exactly once per run, so
+/// `repro --time` throughput and `repro stats` attribution describe the
+/// whole process.
 fn credit_run(stats: &RunStats, speed: &SpeedStats) {
     for (slot, count) in SPEED_TOTALS.iter().zip([
         speed.decode_hits,
@@ -531,9 +530,11 @@ pub fn compile_cache_misses() -> u64 {
 
 /// Compiles and runs `case` both ways; verifies both runs.
 ///
-/// The two simulations are independent, so they execute on two scoped
-/// threads and a multi-core host overlaps them; results and error
-/// priority (baseline first) are identical to running them back to back.
+/// The baseline leg runs first, then the DySER leg, both on the calling
+/// thread: callers that want parallelism fan whole jobs out through
+/// [`run_kernels`] / [`parallel_map`], whose workers would only be
+/// oversubscribed by a second thread per job. A baseline error is
+/// reported before the DySER leg runs.
 ///
 /// # Errors
 ///
@@ -543,16 +544,10 @@ pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult,
     let compiled = compile_cached(&case.function, &config.compiler)?;
     let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
 
-    let (base_stats, dyser_stats) = thread::scope(|s| {
-        let base = s.spawn(|| {
-            run_program("baseline", baseline, &case.args, &case.init, &case.expected, config)
-        });
-        let dyser =
-            run_program("dyser", accelerated, &case.args, &case.init, &case.expected, config);
-        (base.join().expect("baseline run thread"), dyser)
-    });
-    let base_stats = base_stats?;
-    let dyser_stats = dyser_stats?;
+    let base_stats =
+        run_program("baseline", baseline, &case.args, &case.init, &case.expected, config)?;
+    let dyser_stats =
+        run_program("dyser", accelerated, &case.args, &case.init, &case.expected, config)?;
 
     let speedup = base_stats.cycles as f64 / dyser_stats.cycles.max(1) as f64;
     Ok(KernelResult {
@@ -612,142 +607,6 @@ where
 /// via [`parallel_map`]; results are in job order.
 pub fn run_kernels(jobs: &[KernelJob], threads: usize) -> Vec<Result<KernelResult, HarnessError>> {
     parallel_map(jobs, threads, |(case, config)| run_kernel(case, config))
-}
-
-/// Jobs per lockstep batch in [`run_kernel_batch`]: each job contributes
-/// two instances (baseline and accelerated leg), so a full chunk steps
-/// 32 systems together — enough to amortize scheduling and share
-/// translations, small enough to keep the parallel workers loaded.
-const BATCH_JOBS: usize = 16;
-
-/// Runs every job through the lockstep batch scheduler
-/// ([`crate::batch::run_batch`]): jobs are grouped into chunks, each
-/// chunk's baseline and accelerated legs become one batch of systems
-/// advanced together, and chunks fan out across `threads` workers.
-///
-/// Results — values, statistics, and error priority (compile, then
-/// baseline, then dyser; run errors before mismatches per leg) — are
-/// identical to [`run_kernels`]. Compiled-backend legs running the same
-/// program text share one translated-block cache per chunk. When
-/// process-wide tracing is enabled ([`set_trace_capacity`]) the jobs
-/// fall back to the serial harness, which owns the per-run ring-buffer
-/// plumbing.
-pub fn run_kernel_batch(
-    jobs: &[KernelJob],
-    threads: usize,
-) -> Vec<Result<KernelResult, HarnessError>> {
-    if TRACE_CAP.load(Ordering::Relaxed) > 0 {
-        return run_kernels(jobs, threads);
-    }
-    let chunks: Vec<&[KernelJob]> = jobs.chunks(BATCH_JOBS).collect();
-    parallel_map(&chunks, threads, |chunk| run_kernel_batch_chunk(chunk))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Simulates one chunk of jobs as a single lockstep batch.
-fn run_kernel_batch_chunk(jobs: &[KernelJob]) -> Vec<Result<KernelResult, HarnessError>> {
-    use std::hash::{Hash, Hasher};
-
-    let compiled: Vec<Result<Arc<CompiledProgram>, HarnessError>> = jobs
-        .iter()
-        .map(|(case, config)| compile_cached(&case.function, &config.compiler).map_err(Into::into))
-        .collect();
-
-    const LEGS: [&str; 2] = ["baseline", "dyser"];
-    let mut items: Vec<BatchItem> = Vec::new();
-    let mut lanes: Vec<(usize, usize)> = Vec::new(); // (job index, leg index)
-    let mut leg_results: Vec<[Option<Result<RunStats, HarnessError>>; 2]> =
-        jobs.iter().map(|_| [None, None]).collect();
-
-    for (j, ((case, config), compiled)) in jobs.iter().zip(&compiled).enumerate() {
-        let Ok(compiled) = compiled else { continue };
-        let engine = if config.stepped {
-            BatchEngine::Stepped
-        } else {
-            match backend_override().unwrap_or(config.backend) {
-                Backend::Interpreted => BatchEngine::Interpreted,
-                Backend::Compiled => BatchEngine::Compiled,
-            }
-        };
-        for (leg, program) in [&compiled.baseline, &compiled.accelerated].into_iter().enumerate() {
-            let built = (|| -> Result<System, SysError> {
-                let mut sys = System::try_new(config.system.clone())?;
-                sys.load_program(program)?;
-                for (addr, words) in &case.init {
-                    sys.memory_mut().write_u64_slice(*addr, words);
-                }
-                sys.try_set_args(&case.args)?;
-                Ok(sys)
-            })();
-            match built {
-                Err(source) => {
-                    leg_results[j][leg] =
-                        Some(Err(HarnessError::Run { which: LEGS[leg], source }));
-                }
-                Ok(system) => {
-                    // Legs with identical program text and L1I line size
-                    // (same compiled Arc — alive for this whole chunk —
-                    // plus the leg selecting baseline vs accelerated)
-                    // share one translated-block cache.
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    (Arc::as_ptr(compiled) as usize, leg, config.system.mem.l1i.line_bytes)
-                        .hash(&mut h);
-                    items.push(BatchItem {
-                        system,
-                        max_cycles: config.max_cycles,
-                        engine,
-                        share_code: Some(h.finish()),
-                    });
-                    lanes.push((j, leg));
-                }
-            }
-        }
-    }
-
-    let report = run_batch(items);
-    for (outcome, &(j, leg)) in report.outcomes.iter().zip(&lanes) {
-        let which = LEGS[leg];
-        let (case, _) = &jobs[j];
-        leg_results[j][leg] = Some(match &outcome.result {
-            Err(source) => Err(HarnessError::Run { which, source: source.clone() }),
-            Ok(stats) => {
-                credit_run(stats, &outcome.system.speed_stats());
-                verify_expected(&outcome.system, &case.expected, which).map(|()| stats.clone())
-            }
-        });
-    }
-    // The shared caches' counters belong to the whole chunk; credit them
-    // once so `speed_stat_totals` keeps covering every block dispatch.
-    for (slot, count) in SPEED_TOTALS[2..].iter().zip([
-        report.shared_blocks.hits,
-        report.shared_blocks.misses,
-        report.shared_blocks.invalidations,
-    ]) {
-        slot.fetch_add(count, Ordering::Relaxed);
-    }
-
-    jobs.iter()
-        .zip(compiled)
-        .zip(leg_results)
-        .map(|(((case, _), compiled), [base, dyser])| {
-            let compiled = compiled?;
-            let base_stats = base.expect("baseline leg resolved")?;
-            let dyser_stats = dyser.expect("dyser leg resolved")?;
-            let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
-            let speedup = base_stats.cycles as f64 / dyser_stats.cycles.max(1) as f64;
-            Ok(KernelResult {
-                name: case.name.clone(),
-                speedup,
-                accelerated_any: *accelerated_any,
-                regions: regions.clone(),
-                code_sizes: (baseline.len(), accelerated.len()),
-                baseline: base_stats,
-                dyser: dyser_stats,
-            })
-        })
-        .collect()
 }
 
 /// A whole emulated process: program text for both legs (hand-assembled,
@@ -853,24 +712,20 @@ pub fn run_whole_program(
     })
 }
 
-/// Runs both legs of a [`ProgramCase`] (scoped threads, like
-/// [`run_kernel`]) and reports the comparison in the same
-/// [`KernelResult`] shape the experiment tables consume.
+/// Runs both legs of a [`ProgramCase`], baseline then DySER on the
+/// calling thread like [`run_kernel`], and reports the comparison in the
+/// same [`KernelResult`] shape the experiment tables consume.
 ///
 /// # Errors
 ///
-/// Baseline errors take priority over accelerated-leg errors.
+/// Baseline errors take priority: the DySER leg runs only after the
+/// baseline leg verified.
 pub fn run_program_case(
     case: &ProgramCase,
     config: &RunConfig,
 ) -> Result<KernelResult, HarnessError> {
-    let (base, dyser) = thread::scope(|s| {
-        let b = s.spawn(|| run_whole_program("baseline", &case.baseline, case, config));
-        let d = run_whole_program("dyser", &case.accelerated, case, config);
-        (b.join().expect("baseline run thread"), d)
-    });
-    let base = base?;
-    let dyser = dyser?;
+    let base = run_whole_program("baseline", &case.baseline, case, config)?;
+    let dyser = run_whole_program("dyser", &case.accelerated, case, config)?;
     let speedup = base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64;
     Ok(KernelResult {
         name: case.name.clone(),

@@ -197,7 +197,7 @@ impl From<CoreError> for SysError {
 
 /// The memory side of the system (functional store + timing hierarchy).
 #[derive(Debug)]
-pub(crate) struct SysBus {
+struct SysBus {
     memory: Memory,
     hierarchy: Hierarchy,
 }
@@ -242,7 +242,7 @@ const CONFIG_CACHE_SPEEDUP: u64 = 4;
 
 /// The accelerator side of the system.
 #[derive(Debug)]
-pub(crate) struct SysCoproc {
+struct SysCoproc {
     fabric: Option<Fabric>,
     configs: Vec<FabricConfig>,
     /// Index of the currently loaded configuration.
@@ -336,28 +336,26 @@ impl SpeedStats {
     }
 }
 
-/// The machine's execution state — core, memory hierarchy, accelerator —
-/// as a plain value owned by whoever drives it: [`System`] for
-/// single-instance runs, the [`crate::batch`] lockstep scheduler for
-/// many instances at once.
+/// The machine's execution state — core, memory hierarchy, accelerator,
+/// proxy kernel — as a plain value owned by [`System`].
 ///
 /// The advance methods are *slices*: each consumes up to a budget of
-/// cycles and stops at halt, fault, or budget exhaustion, without
-/// deciding whether the run as a whole timed out. Because the core's
-/// bulk stall drain ([`Pipeline::tick_n`]) and the fabric's bulk advance
+/// cycles and stops at halt, fault, a pending syscall, or budget
+/// exhaustion, without deciding whether the run as a whole timed out.
+/// The `System::run*` entry points call them in a loop, servicing a
+/// syscall between slices. Because the core's bulk stall drain
+/// ([`Pipeline::tick_n`]) and the fabric's bulk advance
 /// ([`Fabric::tick_n`]) are both additive, an advance of `a + b` cycles
-/// is bit-identical to an advance of `a` followed by an advance of `b` —
-/// the property the batch runner relies on to interleave instances at
-/// arbitrary lockstep boundaries.
+/// is bit-identical to an advance of `a` followed by an advance of `b`,
+/// so where a slice ends is unobservable.
 #[derive(Debug)]
-pub(crate) struct MachineState {
-    pub(crate) cpu: Pipeline,
-    pub(crate) bus: SysBus,
-    pub(crate) coproc: SysCoproc,
+struct MachineState {
+    cpu: Pipeline,
+    bus: SysBus,
+    coproc: SysCoproc,
     /// The proxy kernel servicing `ta` traps (captured streams, program
-    /// break, virtual clock). Part of the machine value so batch lanes
-    /// carry their own OS state.
-    pub(crate) kernel: ProxyKernel,
+    /// break, virtual clock).
+    kernel: ProxyKernel,
 }
 
 impl MachineState {
@@ -372,7 +370,7 @@ impl MachineState {
     /// boundary resumes into a bit-identical machine.
     ///
     /// Returns whether a syscall was serviced.
-    pub(crate) fn service_syscall(&mut self) -> Result<bool, SysError> {
+    fn service_syscall(&mut self) -> Result<bool, SysError> {
         let Some(code) = self.cpu.pending_syscall() else {
             return Ok(false);
         };
@@ -398,7 +396,7 @@ impl MachineState {
     }
 
     /// Advances one cycle (core and fabric in lock step).
-    pub(crate) fn tick(&mut self, tracing: bool) -> Result<(), SysError> {
+    fn tick(&mut self, tracing: bool) -> Result<(), SysError> {
         if self.cpu.pending_syscall().is_some() {
             // The core is frozen at a trap: the fabric must not tick
             // either, or the lockstep (and bit-identity across engines)
@@ -420,7 +418,7 @@ impl MachineState {
     /// Advances up to `budget` cycles on the fast-forwarding interpreted
     /// path (the engine behind [`System::run`]), stopping early at halt
     /// or fault.
-    pub(crate) fn advance_fast(&mut self, budget: u64, tracing: bool) -> Result<(), SysError> {
+    fn advance_fast(&mut self, budget: u64, tracing: bool) -> Result<(), SysError> {
         let mut remaining = budget;
         while remaining > 0 && !self.cpu.halted() && self.cpu.pending_syscall().is_none() {
             let skip = if tracing { 0 } else { self.cpu.skip_horizon().min(remaining) };
@@ -440,7 +438,7 @@ impl MachineState {
 
     /// Advances up to `budget` cycles one tick at a time (the engine
     /// behind [`System::run_stepped`]), stopping early at halt or fault.
-    pub(crate) fn advance_stepped(&mut self, budget: u64, tracing: bool) -> Result<(), SysError> {
+    fn advance_stepped(&mut self, budget: u64, tracing: bool) -> Result<(), SysError> {
         for _ in 0..budget {
             if self.cpu.halted() || self.cpu.pending_syscall().is_some() {
                 break;
@@ -458,7 +456,7 @@ impl MachineState {
     /// [`MachineState::settle_fabric`] once it stops slicing — the
     /// deferral survives across slices, which is what makes compiled
     /// slices compose.
-    pub(crate) fn advance_compiled(
+    fn advance_compiled(
         &mut self,
         budget: u64,
         blocks: &mut BlockCache,
@@ -523,27 +521,13 @@ impl MachineState {
     /// A faulting cycle never pays its fabric tick (the interpreter
     /// raises before the fabric's half-cycle), so the target on a core
     /// error is one short.
-    pub(crate) fn settle_fabric(&mut self, fabric_ticks: u64, faulted: bool) {
+    fn settle_fabric(&mut self, fabric_ticks: u64, faulted: bool) {
         let target = if faulted { self.cpu.stats().cycles - 1 } else { self.cpu.stats().cycles };
         self.coproc.cp_catch_up(target.saturating_sub(fabric_ticks));
     }
 
-    /// Pays `n` pure stall-drain cycles in bulk: cycles inside the core's
-    /// counted-stall horizon touch neither the bus nor the fabric ports,
-    /// so core (and, on the interpreted path, fabric) advance
-    /// arithmetically. The batch runner accrues these cycles in its hot
-    /// arrays and pays them here, lazily, before the next engine slice.
-    pub(crate) fn fast_forward(&mut self, n: u64, pay_fabric: bool) {
-        self.cpu.tick_n(n);
-        if pay_fabric {
-            if let Some(fabric) = &mut self.coproc.fabric {
-                fabric.tick_n(n);
-            }
-        }
-    }
-
     /// Statistics so far (the body behind [`System::stats`]).
-    pub(crate) fn run_stats(&self) -> RunStats {
+    fn run_stats(&self) -> RunStats {
         RunStats {
             cycles: self.cpu.stats().cycles,
             core: self.cpu.stats().clone(),
@@ -685,14 +669,6 @@ impl System {
     /// The fabric, if attached.
     pub fn fabric(&self) -> Option<&Fabric> {
         self.state.coproc.fabric.as_ref()
-    }
-
-    /// Splits the system into the parts the batch scheduler drives
-    /// directly: the machine state, the (per-instance) block cache, the
-    /// L1I line size baked into block translation, and whether tracing is
-    /// on (a traced instance must take the per-cycle path throughout).
-    pub(crate) fn batch_parts(&mut self) -> (&mut MachineState, &mut BlockCache, u64, bool) {
-        (&mut self.state, &mut self.blocks, self.config.mem.l1i.line_bytes, self.tracing)
     }
 
     /// Loads a compiled program: code, constant pool, configuration table.

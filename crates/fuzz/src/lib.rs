@@ -61,10 +61,6 @@ pub struct CampaignConfig {
     /// Arm the synthetic-miscompile hook (test-only; proves the oracle
     /// and shrinker end to end).
     pub sabotage: bool,
-    /// Route each worker's cases through the lockstep batch oracle
-    /// ([`oracle::check_cases_with`]) instead of checking them one at a
-    /// time. Results are bit-identical either way.
-    pub batch: bool,
 }
 
 impl Default for CampaignConfig {
@@ -75,7 +71,6 @@ impl Default for CampaignConfig {
             shrink: true,
             threads: dyser_core::default_workers(),
             sabotage: false,
-            batch: true,
         }
     }
 }
@@ -147,27 +142,9 @@ pub fn checked(r: &Recipe, sabotage: Option<&Sabotage>) -> Result<CaseOutcome, F
     }
 }
 
-/// [`oracle::check_cases_with`] hardened against panics: a panic
-/// anywhere in the batched waves falls the whole slice back to the
-/// serial [`checked`] path, which attributes the panic to its case.
-#[must_use]
-pub fn checked_batch(
-    recipes: &[Recipe],
-    sabotage: Option<&Sabotage>,
-) -> Vec<Result<CaseOutcome, FuzzFailure>> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        oracle::check_cases_with(recipes, sabotage)
-    }))
-    .unwrap_or_else(|_| recipes.iter().map(|r| checked(r, sabotage)).collect())
-}
-
 /// Shrink cap per campaign: failures usually repeat one root cause, and
 /// each shrink re-runs the oracle hundreds of times.
 const MAX_SHRINKS: usize = 10;
-
-/// Cases per worker slice: with four main legs per case, one slice's
-/// first wave steps up to 32 systems in lockstep.
-const BATCH_CASES: usize = 8;
 
 /// Runs a fuzz campaign: draws `cases` recipes, checks each against the
 /// full oracle on a worker pool (reusing the harness's [`parallel_map`]
@@ -184,20 +161,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 
     let indices: Vec<u64> = (0..cfg.cases).collect();
     let sabotage = if cfg.sabotage { Some(Sabotage) } else { None };
-    let chunks: Vec<&[u64]> = indices.chunks(BATCH_CASES).collect();
     let results: Vec<(Recipe, Result<CaseOutcome, FuzzFailure>)> =
-        dyser_core::parallel_map(&chunks, cfg.threads, |chunk| {
-            let recipes: Vec<Recipe> = chunk.iter().map(|&i| case_recipe(cfg.seed, i)).collect();
-            let outcomes = if cfg.batch {
-                checked_batch(&recipes, sabotage.as_ref())
-            } else {
-                recipes.iter().map(|r| checked(r, sabotage.as_ref())).collect()
-            };
-            recipes.into_iter().zip(outcomes).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        dyser_core::parallel_map(&indices, cfg.threads, |&i| {
+            let recipe = case_recipe(cfg.seed, i);
+            let outcome = checked(&recipe, sabotage.as_ref());
+            (recipe, outcome)
+        });
 
     let mut report = CampaignReport { cases: cfg.cases, ..CampaignReport::default() };
     for (index, (recipe, outcome)) in results.into_iter().enumerate() {

@@ -19,13 +19,10 @@
 //! [`FuzzFailure`] whose `kind` the shrinker preserves while minimizing.
 
 use std::fmt;
-use std::sync::Arc;
 
 use dyser_compiler::ir::interp::{interpret, InterpMem};
-use dyser_compiler::{CompiledProgram, Program};
-use dyser_core::{
-    compile_cached, run_batch, BatchEngine, BatchItem, RunStats, SysError, System, SystemConfig,
-};
+use dyser_compiler::Program;
+use dyser_core::{compile_cached, RunStats, SysError, System, SystemConfig};
 use dyser_sparc::CycleBucket;
 
 use crate::gen::{build_case, compiler_options, system_config, BuiltCase, Recipe, RunMode};
@@ -199,10 +196,52 @@ pub fn check_case_with(
     r: &Recipe,
     sabotage: Option<&Sabotage>,
 ) -> Result<CaseOutcome, FuzzFailure> {
-    let Some(prep) = prep_case(r, sabotage)? else {
-        return Ok(CaseOutcome { invalid_config: true, ..CaseOutcome::default() });
-    };
-    let PrepCase { built, expected, compiled, sys_cfg, .. } = prep;
+    let built = build_case(r).map_err(FuzzFailure::Generator)?;
+
+    // Ground truth: the IR interpreter.
+    let mut imem = InterpMem::new();
+    for (addr, words) in &built.init {
+        imem.write_u64_slice(*addr, words);
+    }
+    interpret(&built.function, &built.args, &mut imem, INTERP_STEPS)
+        .map_err(|e| FuzzFailure::Interp(format!("{e:?}")))?;
+    let mut expected: Vec<(u64, Vec<u64>)> =
+        built.outputs.iter().map(|&(addr, len)| (addr, imem.read_u64_slice(addr, len))).collect();
+
+    if let Some(s) = sabotage {
+        if s.trips(r) {
+            // Simulate a miscompiled multiply: one wrong output bit.
+            expected[0].1[0] ^= 1;
+        }
+    }
+
+    let sys_cfg = system_config(r);
+
+    // Deliberately impossible hardware must be rejected with a typed
+    // error — from both the validator and the constructor — and that is
+    // the whole case.
+    if r.fifo_depth == 0 {
+        if sys_cfg.validate().is_ok() {
+            return Err(FuzzFailure::ExpectedInvalidConfig(
+                "SystemConfig::validate accepted a zero FIFO depth".into(),
+            ));
+        }
+        return match System::try_new(sys_cfg) {
+            Err(SysError::InvalidConfig(_)) => {
+                Ok(CaseOutcome { invalid_config: true, ..CaseOutcome::default() })
+            }
+            Err(other) => {
+                Err(FuzzFailure::ExpectedInvalidConfig(format!("wrong error class: {other}")))
+            }
+            Ok(_) => Err(FuzzFailure::ExpectedInvalidConfig(
+                "System::try_new accepted a zero FIFO depth".into(),
+            )),
+        };
+    }
+
+    let opts = compiler_options(r);
+    let compiled =
+        compile_cached(&built.function, &opts).map_err(|e| FuzzFailure::Compile(e.to_string()))?;
 
     let mut cycles = 0u64;
 
@@ -272,241 +311,6 @@ pub fn check_case_with(
     Ok(CaseOutcome { accelerated: compiled.accelerated_any, cycles, invalid_config: false })
 }
 
-/// Everything [`check_case_with`] computes before its first engine run:
-/// the built case, the interpreter's (possibly sabotaged) expected
-/// outputs, the compiled binaries, and the system description.
-struct PrepCase {
-    built: BuiltCase,
-    expected: Vec<(u64, Vec<u64>)>,
-    compiled: Arc<CompiledProgram>,
-    sys_cfg: SystemConfig,
-    timeout_check: bool,
-}
-
-/// The shared prologue of the serial and batched oracle paths: build,
-/// interpret, sabotage, reject invalid configurations, compile.
-/// `Ok(None)` is the deliberately-invalid-configuration outcome.
-fn prep_case(r: &Recipe, sabotage: Option<&Sabotage>) -> Result<Option<PrepCase>, FuzzFailure> {
-    let built = build_case(r).map_err(FuzzFailure::Generator)?;
-
-    // Ground truth: the IR interpreter.
-    let mut imem = InterpMem::new();
-    for (addr, words) in &built.init {
-        imem.write_u64_slice(*addr, words);
-    }
-    interpret(&built.function, &built.args, &mut imem, INTERP_STEPS)
-        .map_err(|e| FuzzFailure::Interp(format!("{e:?}")))?;
-    let mut expected: Vec<(u64, Vec<u64>)> = built
-        .outputs
-        .iter()
-        .map(|&(addr, len)| (addr, imem.read_u64_slice(addr, len)))
-        .collect();
-
-    if let Some(s) = sabotage {
-        if s.trips(r) {
-            // Simulate a miscompiled multiply: one wrong output bit.
-            expected[0].1[0] ^= 1;
-        }
-    }
-
-    let sys_cfg = system_config(r);
-
-    // Deliberately impossible hardware must be rejected with a typed
-    // error — from both the validator and the constructor — and that is
-    // the whole case.
-    if r.fifo_depth == 0 {
-        if sys_cfg.validate().is_ok() {
-            return Err(FuzzFailure::ExpectedInvalidConfig(
-                "SystemConfig::validate accepted a zero FIFO depth".into(),
-            ));
-        }
-        return match System::try_new(sys_cfg) {
-            Err(SysError::InvalidConfig(_)) => Ok(None),
-            Err(other) => Err(FuzzFailure::ExpectedInvalidConfig(format!(
-                "wrong error class: {other}"
-            ))),
-            Ok(_) => Err(FuzzFailure::ExpectedInvalidConfig(
-                "System::try_new accepted a zero FIFO depth".into(),
-            )),
-        };
-    }
-
-    let opts = compiler_options(r);
-    let compiled = compile_cached(&built.function, &opts)
-        .map_err(|e| FuzzFailure::Compile(e.to_string()))?;
-    Ok(Some(PrepCase { built, expected, compiled, sys_cfg, timeout_check: r.timeout_check }))
-}
-
-/// The four main oracle legs, in serial check order: name, engine, and
-/// whether the leg runs the accelerated binary.
-const LEGS: [(&str, Engine, bool); 4] = [
-    ("baseline", Engine::Fast, false),
-    ("dyser", Engine::Fast, true),
-    ("dyser-stepped", Engine::Stepped, true),
-    ("dyser-compiled", Engine::Compiled, true),
-];
-
-/// The timeout sweep's engines, in serial check order.
-const SWEEP: [Engine; 3] = [Engine::Fast, Engine::Stepped, Engine::Compiled];
-
-/// Checks a slice of recipes with every case's simulation legs packed
-/// into lockstep batches ([`dyser_core::run_batch`]): wave one steps all
-/// cases' four main legs together, wave two batches the timeout sweeps
-/// of the cases that survived wave one. Results — outcomes, failures,
-/// and which failure is reported first — are identical to running
-/// [`check_case_with`] on each recipe in turn. Traced-mode recipes run
-/// through the serial path, which owns the trace-ring plumbing.
-pub fn check_cases_with(
-    recipes: &[Recipe],
-    sabotage: Option<&Sabotage>,
-) -> Vec<Result<CaseOutcome, FuzzFailure>> {
-    let mut results: Vec<Option<Result<CaseOutcome, FuzzFailure>>> =
-        recipes.iter().map(|_| None).collect();
-    let mut preps: Vec<(usize, PrepCase)> = Vec::new();
-    for (i, r) in recipes.iter().enumerate() {
-        if r.mode == RunMode::Traced {
-            results[i] = Some(check_case_with(r, sabotage));
-            continue;
-        }
-        match prep_case(r, sabotage) {
-            Ok(Some(prep)) => preps.push((i, prep)),
-            Ok(None) => {
-                results[i] =
-                    Some(Ok(CaseOutcome { invalid_config: true, ..CaseOutcome::default() }));
-            }
-            Err(f) => results[i] = Some(Err(f)),
-        }
-    }
-
-    // Wave 1: the main legs of every prepped case, one lockstep batch.
-    type LegResult = Result<(RunStats, System), FuzzFailure>;
-    let mut legs: Vec<[Option<LegResult>; 4]> =
-        preps.iter().map(|_| [None, None, None, None]).collect();
-    let mut items: Vec<BatchItem> = Vec::new();
-    let mut slots: Vec<(usize, usize)> = Vec::new();
-    for (p_i, (_, prep)) in preps.iter().enumerate() {
-        for (l_i, &(which, engine, accel)) in LEGS.iter().enumerate() {
-            let program =
-                if accel { &prep.compiled.accelerated } else { &prep.compiled.baseline };
-            match setup(which, program, &prep.built, &prep.sys_cfg) {
-                Ok(sys) => {
-                    slots.push((p_i, l_i));
-                    items.push(BatchItem::new(sys, MAX_CYCLES, engine.batch()));
-                }
-                Err(f) => legs[p_i][l_i] = Some(Err(f)),
-            }
-        }
-    }
-    for ((p_i, l_i), outcome) in slots.into_iter().zip(run_batch(items).outcomes) {
-        let which = LEGS[l_i].0;
-        legs[p_i][l_i] = Some(match outcome.result {
-            Ok(stats) => Ok((stats, outcome.system)),
-            Err(e) => Err(FuzzFailure::Run { which, detail: e.to_string() }),
-        });
-    }
-
-    // Evaluate wave 1 per case, in the serial path's leg order, and
-    // collect the timeout sweeps the survivors owe.
-    let mut pending: Vec<(usize, u64, u64)> = Vec::new(); // (prep index, cycles, budget)
-    for (p_i, (case_i, prep)) in preps.iter().enumerate() {
-        let verdict = (|| {
-            let mut cycles = 0u64;
-            let mut stats = Vec::with_capacity(LEGS.len());
-            for (l_i, &(which, _, _)) in LEGS.iter().enumerate() {
-                let (leg_stats, sys) = legs[p_i][l_i].take().expect("every leg resolved")?;
-                audit_leg(which, &leg_stats, &sys, &prep.expected)?;
-                cycles += leg_stats.cycles;
-                stats.push(leg_stats);
-            }
-            if stats[1] != stats[2] {
-                return Err(FuzzFailure::StatsDiverge(format!(
-                    "fast-forward {:?} vs stepped {:?}",
-                    stats[1], stats[2]
-                )));
-            }
-            if stats[1] != stats[3] {
-                return Err(FuzzFailure::StatsDiverge(format!(
-                    "fast-forward {:?} vs compiled {:?}",
-                    stats[1], stats[3]
-                )));
-            }
-            Ok((cycles, stats[1].cycles))
-        })();
-        match verdict {
-            Err(f) => results[*case_i] = Some(Err(f)),
-            Ok((cycles, ff_cycles)) => {
-                if prep.timeout_check {
-                    pending.push((p_i, cycles, ff_cycles / 2));
-                } else {
-                    results[*case_i] = Some(Ok(CaseOutcome {
-                        accelerated: prep.compiled.accelerated_any,
-                        cycles,
-                        invalid_config: false,
-                    }));
-                }
-            }
-        }
-    }
-
-    // Wave 2: the survivors' timeout sweeps, one lockstep batch.
-    let mut sweeps: Vec<[Option<Result<u64, FuzzFailure>>; 3]> =
-        pending.iter().map(|_| [None, None, None]).collect();
-    let mut items: Vec<BatchItem> = Vec::new();
-    let mut slots: Vec<(usize, usize)> = Vec::new();
-    for (s_i, &(p_i, _, budget)) in pending.iter().enumerate() {
-        let prep = &preps[p_i].1;
-        for (e_i, engine) in SWEEP.iter().enumerate() {
-            match setup("timeout-sweep", &prep.compiled.accelerated, &prep.built, &prep.sys_cfg) {
-                Ok(sys) => {
-                    slots.push((s_i, e_i));
-                    items.push(BatchItem::new(sys, budget, engine.batch()));
-                }
-                Err(f) => sweeps[s_i][e_i] = Some(Err(f)),
-            }
-        }
-    }
-    for ((s_i, e_i), outcome) in slots.into_iter().zip(run_batch(items).outcomes) {
-        let budget = pending[s_i].2;
-        sweeps[s_i][e_i] = Some(match outcome.result {
-            Err(SysError::Timeout { cycles }) => Ok(cycles),
-            Err(other) => Err(FuzzFailure::TimeoutDiverge(format!(
-                "budget {budget} produced a non-timeout error: {other}"
-            ))),
-            Ok(stats) => Err(FuzzFailure::TimeoutDiverge(format!(
-                "budget {budget} (half of the full run) completed in {} cycles",
-                stats.cycles
-            ))),
-        });
-    }
-    for (s_i, (p_i, cycles, budget)) in pending.into_iter().enumerate() {
-        let (case_i, prep) = &preps[p_i];
-        let verdict = (|| {
-            let mut timed = [0u64; 3];
-            for (e_i, t) in timed.iter_mut().enumerate() {
-                *t = sweeps[s_i][e_i].take().expect("every sweep leg resolved")?;
-            }
-            if timed[0] != timed[1] || timed[0] != timed[2] {
-                return Err(FuzzFailure::TimeoutDiverge(format!(
-                    "budget {budget}: fast-forward timed out at {}, stepped at {}, \
-                     compiled at {}",
-                    timed[0], timed[1], timed[2]
-                )));
-            }
-            Ok(timed[0] + timed[1] + timed[2])
-        })();
-        results[*case_i] = Some(match verdict {
-            Ok(extra) => Ok(CaseOutcome {
-                accelerated: prep.compiled.accelerated_any,
-                cycles: cycles + extra,
-                invalid_config: false,
-            }),
-            Err(f) => Err(f),
-        });
-    }
-
-    results.into_iter().map(|r| r.expect("every case resolved")).collect()
-}
-
 /// Which execution engine drives a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
@@ -526,19 +330,10 @@ impl Engine {
             Engine::Compiled => sys.run_compiled(budget),
         }
     }
-
-    /// The lockstep batch scheduler's name for the same engine.
-    fn batch(self) -> BatchEngine {
-        match self {
-            Engine::Fast => BatchEngine::Interpreted,
-            Engine::Stepped => BatchEngine::Stepped,
-            Engine::Compiled => BatchEngine::Compiled,
-        }
-    }
 }
 
-/// Builds a system, runs one engine, checks the balance identity and the
-/// output buffers.
+/// Builds a system, runs one engine, checks the balance identity, the
+/// `MemMiss` cross-check, and the output buffers against the interpreter.
 fn exec(
     which: &'static str,
     program: &Program,
@@ -554,19 +349,6 @@ fn exec(
     }
     let run = engine.run(&mut sys, MAX_CYCLES);
     let stats = run.map_err(|e| FuzzFailure::Run { which, detail: e.to_string() })?;
-    audit_leg(which, &stats, &sys, expected)?;
-    Ok((stats, sys.take_trace().is_some()))
-}
-
-/// The post-run checks of one leg: the cycle-attribution balance
-/// identity, the `MemMiss` cross-check, and the output buffers against
-/// the interpreter — shared by the serial and batched paths.
-fn audit_leg(
-    which: &'static str,
-    stats: &RunStats,
-    sys: &System,
-    expected: &[(u64, Vec<u64>)],
-) -> Result<(), FuzzFailure> {
     let acct = stats.cycle_account();
     if !acct.balanced() {
         return Err(FuzzFailure::UnbalancedAccount {
@@ -589,16 +371,11 @@ fn audit_leg(
             let a = addr + 8 * i as u64;
             let got = sys.memory().read_u64(a);
             if got != *want {
-                return Err(FuzzFailure::OutputMismatch {
-                    which,
-                    addr: a,
-                    expected: *want,
-                    got,
-                });
+                return Err(FuzzFailure::OutputMismatch { which, addr: a, expected: *want, got });
             }
         }
     }
-    Ok(())
+    Ok((stats, sys.take_trace().is_some()))
 }
 
 /// Runs one engine under an insufficient budget; the result must be a

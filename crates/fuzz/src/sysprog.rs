@@ -6,15 +6,15 @@
 //! bad), `brk` grows and refused shrinks, chunked `read`s, virtual-clock
 //! reads, and compute spacers that shift where traps land relative to
 //! slice boundaries — assembled into a real trap-issuing program. The
-//! oracle runs it on every engine (`run`, `run_stepped`, `run_compiled`,
-//! and all three lockstep batch engines) and demands:
+//! oracle runs it on every engine (`run`, `run_stepped`, `run_compiled`)
+//! and demands:
 //!
 //! * captured **stdout and stderr bytes** equal the host-side model's
 //!   prediction, on every engine;
 //! * the **exit code** propagates identically everywhere;
 //! * **`RunStats` are bit-identical** across engines — including the
 //!   `Syscall` cycle bucket, so trap service costs settle the same way
-//!   in serial and batched execution;
+//!   at every engine's slice boundaries;
 //! * every run's **cycle account balances**.
 //!
 //! Failures shrink by op deletion ([`shrink_sys`]) and serialize to the
@@ -24,7 +24,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use dyser_core::{run_batch, BatchEngine, BatchItem, RunStats, SysError, System, SystemConfig};
+use dyser_core::{RunStats, SysError, System, SystemConfig};
 use dyser_isa::{regs, AluOp, Assembler, Instr, Op2, RCond, StoreKind};
 use dyser_rng::Rng64;
 use dyser_sparc::syscall::{SYS_BRK, SYS_EXIT, SYS_GETTIME, SYS_READ, SYS_WRITE};
@@ -303,16 +303,6 @@ pub fn check_sys_case_with(r: &SysRecipe, sabotage: bool) -> Result<u64, SysFail
     let mut sys = fresh_sys(&words, &stdin, &data);
     let res = sys.run_compiled(MAX_CYCLES);
     runs.push(("compiled", sys, res));
-    for (label, engine) in [
-        ("batch-interpreted", BatchEngine::Interpreted),
-        ("batch-stepped", BatchEngine::Stepped),
-        ("batch-compiled", BatchEngine::Compiled),
-    ] {
-        let report =
-            run_batch(vec![BatchItem::new(fresh_sys(&words, &stdin, &data), MAX_CYCLES, engine)]);
-        let outcome = report.outcomes.into_iter().next().expect("one outcome");
-        runs.push((label, outcome.system, outcome.result));
-    }
 
     let mut cycles = 0u64;
     let mut reference: Option<RunStats> = None;
@@ -609,7 +599,7 @@ pub fn checked_sys(r: &SysRecipe) -> Result<u64, SysFailure> {
 }
 
 /// Runs a syscall fuzz campaign: `cases` random trap programs, each
-/// checked on all six engine runs, failures shrunk by op deletion.
+/// checked on all three engine runs, failures shrunk by op deletion.
 #[must_use]
 pub fn run_sys_campaign(cases: u64, seed: u64) -> SysCampaignReport {
     let mut report = SysCampaignReport { cases, ..SysCampaignReport::default() };

@@ -103,7 +103,7 @@ fn corpus_replays_clean() {
 }
 
 /// Every checked-in syscall corpus entry replays clean through the
-/// stream/exit/stats oracle on all six engine runs.
+/// stream/exit/stats oracle on all three engine runs.
 #[test]
 fn sys_corpus_replays_clean() {
     use dyser_fuzz::sysprog::{checked_sys, load_sys_corpus, sys_corpus_dir};
@@ -160,34 +160,4 @@ fn tiny_fabrics_degrade_gracefully() {
         r.cols = 2;
         checked(&r, None).unwrap_or_else(|e| panic!("case {i}: {e}\n{r:?}"));
     }
-}
-
-/// The lockstep batch oracle must agree with the serial path case for
-/// case: identical aggregates on a clean campaign, and identical failure
-/// indices and kinds when the sabotage hook forces miscompiles.
-#[test]
-fn batched_oracle_matches_serial() {
-    let cfg = |batch, sabotage| CampaignConfig {
-        cases: 60,
-        seed: 0xD75E,
-        shrink: false,
-        sabotage,
-        batch,
-        ..CampaignConfig::default()
-    };
-    let batched = run_campaign(&cfg(true, false));
-    let serial = run_campaign(&cfg(false, false));
-    assert!(batched.clean(), "{:?}", batched.failures);
-    assert_eq!(batched.accelerated, serial.accelerated);
-    assert_eq!(batched.invalid_config, serial.invalid_config);
-    assert_eq!(batched.sim_cycles, serial.sim_cycles, "batching must not change a cycle");
-
-    let batched = run_campaign(&cfg(true, true));
-    let serial = run_campaign(&cfg(false, true));
-    let digest = |r: &dyser_fuzz::CampaignReport| {
-        r.failures.iter().map(|f| (f.index, f.failure.kind())).collect::<Vec<_>>()
-    };
-    assert!(!batched.failures.is_empty(), "sabotage must trip the oracle");
-    assert_eq!(digest(&batched), digest(&serial));
-    assert_eq!(batched.sim_cycles, serial.sim_cycles);
 }

@@ -62,24 +62,35 @@ impl CacheStats {
 /// tiny geometries fits, so those caches allocate their lines once.
 const RESERVED_LINES: usize = 4096;
 
+/// Sets per directory page. A cache with fewer sets has one page of
+/// `sets` entries.
+const PAGE_SETS: usize = 1024;
+
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
 /// Lines are stored structure-of-arrays in flat per-field vectors; a line
 /// is valid iff its recency stamp is nonzero (the tick counter
 /// pre-increments, so live stamps start at 1). A set owns no lines until
-/// it is first touched: `dir` maps each set to one past the index of its
-/// first line, zero meaning never touched, and a first touch appends
-/// `ways` invalid lines. Construction therefore costs a `u32` per set
-/// plus a small up-front line reservation, and the huge idealised
-/// configurations (`MemConfig::perfect`, 64K sets x 8 ways) only ever
-/// hold the sets their working set maps to. A dense `sets * ways` layout
-/// would cost ~9 MB per such cache on every construction: the allocator
-/// recycles freed blocks, so it zeroes them rather than handing back
-/// untouched zero pages.
+/// it is first touched: its directory entry holds one past the index of
+/// its first line, zero meaning never touched, and a first touch appends
+/// `ways` invalid lines. The directory itself is paged the same way: a
+/// page of [`PAGE_SETS`] entries is appended on the first touch of any of
+/// its sets, and `pages` maps each page to one past its offset in `dir`.
+/// Construction therefore costs a `u32` per page plus a small up-front
+/// line reservation, and the huge idealised configurations
+/// (`MemConfig::perfect`, 64K sets x 8 ways) only ever hold the pages and
+/// sets their working set maps to. A dense directory would cost 256 KiB
+/// per such cache, and dense lines ~9 MB, on every construction: the
+/// allocator recycles freed blocks, so it zeroes them rather than handing
+/// back untouched zero pages.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set line offset plus one; zero marks a set never touched.
+    /// Per-page offset into `dir` plus one; zero marks a page none of
+    /// whose sets has been touched.
+    pages: Vec<u32>,
+    /// Directory pages: per-set line offset plus one; zero marks a set
+    /// never touched.
     dir: Vec<u32>,
     /// Line tags; meaningful only where `stamps` is nonzero.
     tags: Vec<u64>,
@@ -110,7 +121,8 @@ impl Cache {
         let reserve = lines.min(RESERVED_LINES);
         Cache {
             config,
-            dir: vec![0; config.sets],
+            pages: vec![0; config.sets.div_ceil(PAGE_SETS)],
+            dir: Vec::new(),
             tags: Vec::with_capacity(reserve),
             stamps: Vec::with_capacity(reserve),
             dirty: Vec::with_capacity(reserve),
@@ -135,28 +147,43 @@ impl Cache {
     }
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
+        // Both sizes are powers of two (checked in `new`): shift, don't divide.
+        let line = addr >> self.config.line_bytes.trailing_zeros();
         let set = (line as usize) & (self.config.sets - 1);
-        let tag = line / self.config.sets as u64;
+        let tag = line >> self.config.sets.trailing_zeros();
         (set, tag)
+    }
+
+    /// The index of `set`'s directory entry, if its page exists.
+    fn slot(&self, set: usize) -> Option<usize> {
+        let page = (self.pages[set / PAGE_SETS] as usize).checked_sub(1)?;
+        Some(page + set % PAGE_SETS)
     }
 
     /// The index of `set`'s first line, if the set has been touched.
     fn base(&self, set: usize) -> Option<usize> {
-        (self.dir[set] as usize).checked_sub(1)
+        (self.dir[self.slot(set)?] as usize).checked_sub(1)
     }
 
-    /// Gives a never-touched `set` its `ways` invalid lines; returns the
-    /// index of the first.
+    /// Gives a never-touched `set` its `ways` invalid lines, and its
+    /// directory page if that is new too; returns the index of the first
+    /// line.
     #[cold]
     fn alloc_set(&mut self, set: usize) -> usize {
+        let slot = self.slot(set).unwrap_or_else(|| {
+            let page = self.dir.len();
+            self.dir.resize(page + self.config.sets.min(PAGE_SETS), 0);
+            // `new` bounds sets by u32::MAX, so page + 1 fits.
+            self.pages[set / PAGE_SETS] = page as u32 + 1;
+            page + set % PAGE_SETS
+        });
         let base = self.stamps.len();
         let end = base + self.config.ways;
         self.tags.resize(end, 0);
         self.stamps.resize(end, 0);
         self.dirty.resize(end, 0);
         // `new` bounds sets * ways by u32::MAX, so base + 1 fits.
-        self.dir[set] = base as u32 + 1;
+        self.dir[slot] = base as u32 + 1;
         base
     }
 
@@ -336,13 +363,32 @@ mod tests {
         let cfg = CacheConfig { sets: 1 << 16, ways: 8, line_bytes: 64, hit_latency: 1 };
         let mut c = Cache::new(cfg);
         assert!(c.tags.capacity() <= RESERVED_LINES);
+        assert_eq!(c.pages.len(), (1 << 16) / PAGE_SETS);
         assert!(!c.probe(0x40));
-        assert!(c.stamps.is_empty(), "probes allocate nothing");
+        assert!(c.stamps.is_empty() && c.dir.is_empty(), "probes allocate nothing");
         c.access(0x40, false);
+        assert_eq!(c.dir.len(), PAGE_SETS, "the first touch brings in one page");
         c.access(0x40 + (64 << 16), true); // same set, next tag
-        c.access(0x80, false); // next set
+        c.access(0x80, false); // next set, same page
         assert_eq!(c.stamps.len(), 2 * 8);
+        assert_eq!(c.dir.len(), PAGE_SETS, "a page's later sets reuse it");
+        let far = 64 * PAGE_SETS as u64 * 5; // set 5 * PAGE_SETS: page 5
+        assert!(!c.probe(far));
+        assert_eq!(c.dir.len(), PAGE_SETS, "probing an absent page allocates nothing");
+        c.access(far, false);
+        c.access(far + 64, false); // next set, same page
+        assert_eq!(c.dir.len(), 2 * PAGE_SETS);
+        assert_eq!(c.stamps.len(), 4 * 8);
         assert!(c.probe(0x40) && c.probe(0x40 + (64 << 16)) && c.probe(0x80));
+        assert!(c.probe(far) && c.probe(far + 64) && !c.probe(far + 128));
+    }
+
+    #[test]
+    fn small_caches_use_one_short_page() {
+        let mut c = small();
+        assert_eq!(c.pages.len(), 1);
+        c.access(0x30, false); // set 3
+        assert_eq!(c.dir.len(), 4, "a page never outgrows the set count");
     }
 
     #[test]

@@ -35,8 +35,8 @@ use std::thread;
 use dyser_bench::dse::{check_unroll, point_sim, DsePoint, FuMix, MemPreset};
 use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED};
 use dyser_bench::serve::{
-    envelope_json, read_http_request, write_http_response, HttpRequest, JobError, JobRequest,
-    JobResult, RunSpec, SystemSpec, DEFAULT_JOB_CYCLES,
+    envelope_json, read_http_request, write_http_response, JobError, JobRequest, JobResult,
+    RunSpec, SystemSpec, DEFAULT_JOB_CYCLES,
 };
 use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
 use dyser_compiler::ir::parser::parse_module;
@@ -330,93 +330,37 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 exit_code: dyser.exit_code,
             })
         }
-        JobRequest::DsePoint { .. } => {
-            let (case, rc, fu_sites, kernel) = dse_point_inputs(job, max_cycles_cap)?;
+        JobRequest::DsePoint { kernel, n, rows, cols, universal, fifo_depth, mem, unroll, run } => {
+            let Some(k) = suite().into_iter().find(|s| s.name == kernel) else {
+                return Err(JobError::UnknownKernel(kernel.clone()));
+            };
+            let mem = MemPreset::parse(mem).map_err(JobError::InvalidRequest)?;
+            check_unroll(*unroll).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
+            let point = DsePoint {
+                kernel: kernel.clone(),
+                rows: *rows,
+                cols: *cols,
+                mix: if *universal { FuMix::Universal } else { FuMix::Default },
+                fifo_depth: *fifo_depth,
+                mem,
+                unroll: *unroll,
+            };
+            let mut rc = point
+                .run_config(&k, run.backend)
+                .map_err(|e| JobError::InvalidConfig(e.to_string()))?;
+            rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
+            let case = k.case(*n, SEED);
             let result = gated(None, || dyser_core::run_kernel(&case, &rc))?
                 .map_err(|e| JobError::from_harness(&e))?;
-            Ok(dse_point_result(kernel, &point_sim(&result, fu_sites)))
+            let sim = point_sim(&result, rc.system.geometry.fu_count());
+            Ok(JobResult::DsePoint {
+                kernel: kernel.clone(),
+                baseline_cycles: sim.baseline_cycles,
+                cycles: sim.cycles,
+                energy_nj: sim.energy_nj,
+                config_cycles: sim.config_cycles,
+            })
         }
-    }
-}
-
-/// Resolves a `DsePoint` job into its harness inputs: the kernel case,
-/// the run configuration, the FU-site count the energy model scales to,
-/// and the kernel name echoed in the result.
-fn dse_point_inputs(
-    job: &JobRequest,
-    max_cycles_cap: u64,
-) -> Result<(KernelCase, RunConfig, usize, String), JobError> {
-    let JobRequest::DsePoint { kernel, n, rows, cols, universal, fifo_depth, mem, unroll, run } =
-        job
-    else {
-        return Err(JobError::InvalidRequest("not a dse-point job".into()));
-    };
-    let Some(k) = suite().into_iter().find(|s| s.name == kernel) else {
-        return Err(JobError::UnknownKernel(kernel.clone()));
-    };
-    let mem = MemPreset::parse(mem).map_err(JobError::InvalidRequest)?;
-    check_unroll(*unroll).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
-    let point = DsePoint {
-        kernel: kernel.clone(),
-        rows: *rows,
-        cols: *cols,
-        mix: if *universal { FuMix::Universal } else { FuMix::Default },
-        fifo_depth: *fifo_depth,
-        mem,
-        unroll: *unroll,
-    };
-    let mut rc =
-        point.run_config(&k, run.backend).map_err(|e| JobError::InvalidConfig(e.to_string()))?;
-    rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
-    let case = k.case(*n, SEED);
-    let fu_sites = rc.system.geometry.fu_count();
-    Ok((case, rc, fu_sites, kernel.clone()))
-}
-
-/// Shapes one simulated point into the wire result.
-fn dse_point_result(kernel: String, sim: &dyser_bench::dse::PointSim) -> JobResult {
-    JobResult::DsePoint {
-        kernel,
-        baseline_cycles: sim.baseline_cycles,
-        cycles: sim.cycles,
-        energy_nj: sim.energy_nj,
-        config_cycles: sim.config_cycles,
-    }
-}
-
-/// Executes a worker's drained slice of `DsePoint` jobs as one lockstep
-/// batch ([`dyser_core::run_kernel_batch`]), bit-identical to running
-/// [`execute_job`] on each. Jobs with invalid configurations fail
-/// individually without joining the batch; a panic anywhere inside the
-/// batch falls the whole slice back to serial execution so the panic is
-/// attributed to the job that caused it.
-fn execute_dse_batch(
-    jobs: &[JobRequest],
-    max_cycles_cap: u64,
-) -> Vec<Result<JobResult, JobError>> {
-    let inputs: Vec<Result<(KernelCase, RunConfig, usize, String), JobError>> =
-        jobs.iter().map(|j| dse_point_inputs(j, max_cycles_cap)).collect();
-    let runnable: Vec<(KernelCase, RunConfig)> = inputs
-        .iter()
-        .flatten()
-        .map(|(case, rc, _, _)| (case.clone(), rc.clone()))
-        .collect();
-    match gated(None, || dyser_core::run_kernel_batch(&runnable, 1)) {
-        Ok(results) => {
-            let mut results = results.into_iter();
-            inputs
-                .into_iter()
-                .map(|input| {
-                    let (_, _, fu_sites, kernel) = input?;
-                    let result = results
-                        .next()
-                        .expect("one batch result per runnable job")
-                        .map_err(|e| JobError::from_harness(&e))?;
-                    Ok(dse_point_result(kernel, &point_sim(&result, fu_sites)))
-                })
-                .collect()
-        }
-        Err(_) => jobs.iter().map(|j| execute_job(j, max_cycles_cap)).collect(),
     }
 }
 
@@ -460,15 +404,6 @@ impl AdmissionQueue {
             slots = self.ready.wait(slots).unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Takes up to `max` already-queued connections without blocking —
-    /// the worker-side drain that lets one shard pack compatible queued
-    /// jobs into a lockstep batch.
-    fn try_drain(&self, max: usize) -> Vec<TcpStream> {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        let take = slots.len().min(max);
-        slots.drain(..take).collect()
-    }
 }
 
 /// The daemon's health document.
@@ -490,18 +425,8 @@ fn respond(stream: &mut TcpStream, outcome: &Result<JobResult, JobError>) {
     let _ = write_http_response(stream, status, &envelope_json(outcome));
 }
 
-/// Extra queued connections one worker inspects for batchable
-/// companions after it picks up a `DsePoint` job — with the job it
-/// already holds, a full drain fills one [`dyser_core::run_kernel_batch`]
-/// chunk.
-const BATCH_DRAIN: usize = 15;
-
-/// Services one accepted connection end to end. With a queue in hand, a
-/// worker that picks up a `DsePoint` job first drains compatible queued
-/// jobs and steps the whole slice in lockstep; drained connections that
-/// turn out to be anything else are serviced individually (`queue:
-/// None`, so a drained batchable job never re-drains).
-fn handle_connection(mut stream: TcpStream, queue: Option<&AdmissionQueue>, config: &ServeConfig) {
+/// Services one accepted connection end to end.
+fn handle_connection(mut stream: TcpStream, config: &ServeConfig) {
     let request = match read_http_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -509,60 +434,22 @@ fn handle_connection(mut stream: TcpStream, queue: Option<&AdmissionQueue>, conf
             return;
         }
     };
-    handle_request(stream, &request, queue, config);
-}
-
-/// Dispatches one parsed HTTP request.
-fn handle_request(
-    mut stream: TcpStream,
-    request: &HttpRequest,
-    queue: Option<&AdmissionQueue>,
-    config: &ServeConfig,
-) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => {
             let _ = write_http_response(&mut stream, 200, &health_json(config));
         }
-        ("POST", "/job") => match (JobRequest::parse(&request.body), queue) {
-            (Ok(job @ JobRequest::DsePoint { .. }), Some(queue)) => {
-                batch_dse(stream, job, queue, config);
-            }
-            (outcome, _) => {
-                let outcome = outcome.and_then(|job| execute_job(&job, config.max_cycles_cap));
-                JOBS_DONE.fetch_add(1, Ordering::Relaxed);
-                respond(&mut stream, &outcome);
-            }
-        },
+        ("POST", "/job") => {
+            let outcome = JobRequest::parse(&request.body)
+                .and_then(|job| execute_job(&job, config.max_cycles_cap));
+            JOBS_DONE.fetch_add(1, Ordering::Relaxed);
+            respond(&mut stream, &outcome);
+        }
         (_, "/job") => {
             respond(&mut stream, &Err(JobError::Protocol("use POST for /job".into())));
         }
         (_, path) => {
             respond(&mut stream, &Err(JobError::Protocol(format!("no such endpoint `{path}`"))));
         }
-    }
-}
-
-/// Drains compatible queued jobs behind `job` and executes the slice as
-/// one lockstep batch, replying to every member.
-fn batch_dse(stream: TcpStream, job: JobRequest, queue: &AdmissionQueue, config: &ServeConfig) {
-    let mut members: Vec<(TcpStream, JobRequest)> = vec![(stream, job)];
-    for mut extra in queue.try_drain(BATCH_DRAIN) {
-        match read_http_request(&mut extra) {
-            Ok(req) if req.method == "POST" && req.path == "/job" => {
-                match JobRequest::parse(&req.body) {
-                    Ok(j @ JobRequest::DsePoint { .. }) => members.push((extra, j)),
-                    _ => handle_request(extra, &req, None, config),
-                }
-            }
-            Ok(req) => handle_request(extra, &req, None, config),
-            Err(e) => respond(&mut extra, &Err(e)),
-        }
-    }
-    let jobs: Vec<JobRequest> = members.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = execute_dse_batch(&jobs, config.max_cycles_cap);
-    for ((mut member, _), outcome) in members.into_iter().zip(outcomes) {
-        JOBS_DONE.fetch_add(1, Ordering::Relaxed);
-        respond(&mut member, &outcome);
     }
 }
 
@@ -616,7 +503,7 @@ impl Server {
         thread::scope(|s| {
             for _ in 0..config.shards.max(1) {
                 s.spawn(|| loop {
-                    handle_connection(queue.pop(), Some(&queue), config);
+                    handle_connection(queue.pop(), config);
                 });
             }
             for conn in self.listener.incoming() {

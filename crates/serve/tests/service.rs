@@ -557,12 +557,11 @@ fn dse_point_unrolls_out_of_bounds_are_rejected_before_compiling() {
     assert_eq!(dyser_core::compile_cache_misses(), misses, "a rejected point compiled");
 }
 
-/// A single-shard daemon flooded with `DsePoint` jobs must drain them
-/// into lockstep batches (one worker, many queued connections) and still
-/// answer every job with metrics bit-identical to an in-process
-/// `run_kernel` of the same point.
+/// A single-shard daemon flooded with `DsePoint` jobs (one worker, many
+/// queued connections) must answer every job with metrics bit-identical
+/// to an in-process `run_kernel` of the same point.
 #[test]
-fn queued_dse_point_jobs_batch_and_stay_bit_identical() {
+fn queued_dse_point_jobs_stay_bit_identical() {
     let _g = lock();
 
     let kernel = suite().into_iter().find(|k| k.name == "saxpy").expect("saxpy in suite");
@@ -590,7 +589,7 @@ fn queued_dse_point_jobs_batch_and_stay_bit_identical() {
         .collect();
 
     // One shard: while it works the first job, the rest pile up in the
-    // admission queue and get drained into its batch.
+    // admission queue and wait their turn.
     let url = spawn_server(1);
     let jobs: Vec<JobRequest> = points
         .iter()
@@ -614,7 +613,7 @@ fn queued_dse_point_jobs_batch_and_stay_bit_identical() {
                 assert_eq!(cycles, want.cycles);
                 assert_eq!(config_cycles, want.config_cycles);
             }
-            other => panic!("batched dse-point job failed: {other:?}"),
+            other => panic!("queued dse-point job failed: {other:?}"),
         }
     }
 }

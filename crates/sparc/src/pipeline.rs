@@ -226,8 +226,9 @@ impl Pipeline {
     /// queues `stall` counted cycles of [`StallCause::Syscall`] service
     /// latency, and unfreezes the core.
     ///
-    /// The stall is a plain counted stall, so batch runners fast-forward
-    /// it through [`Pipeline::tick_n`] exactly like any other latency.
+    /// The stall is a plain counted stall, so the fast-forwarding and
+    /// compiled engines skip it through [`Pipeline::tick_n`] exactly like
+    /// any other latency.
     pub fn complete_syscall(&mut self, retval: u64, stall: u64) {
         debug_assert!(self.pending_syscall.is_some(), "complete_syscall without a pending trap");
         self.pending_syscall = None;

@@ -6,7 +6,7 @@
 //! a [`SyscallHandler`] and resumes the core with
 //! [`Pipeline::complete_syscall`](crate::Pipeline::complete_syscall).
 //! Keeping the handler outside the core preserves the bit-identity
-//! contract: every backend (interpreted, stepped, compiled, batched)
+//! contract: every backend (interpreted, stepped, compiled)
 //! observes the trap at the same retired-instruction boundary, performs
 //! the same memory effects, and charges the same deterministic service
 //! latency, so stdout bytes, exit codes, and cycle counts are identical
@@ -91,7 +91,7 @@ pub trait SyscallHandler {
 /// break, and the virtual clock.
 ///
 /// All state is plain data — cloning a [`ProxyKernel`] clones the whole
-/// OS state, which is what lets the batch runner replicate systems.
+/// OS state.
 #[derive(Debug, Clone, Default)]
 pub struct ProxyKernel {
     stdout: Vec<u8>,
