@@ -5,8 +5,6 @@
 //! cargo run -p dyser-bench --release --bin repro -- e2 e6
 //! cargo run -p dyser-bench --release --bin repro -- e2 --csv     # machine-readable
 //! cargo run -p dyser-bench --release --bin repro -- p1 --csv     # whole program (argv+stdin+syscalls)
-//! cargo run -p dyser-bench --release --bin repro -- e2 --time    # BENCH_repro.json
-//! cargo run -p dyser-bench --release --bin repro -- e2 --time --reps 2
 //! cargo run -p dyser-bench --release --bin repro -- all --backend compiled
 //! cargo run -p dyser-bench --release --bin repro -- stats        # cycle attribution
 //! cargo run -p dyser-bench --release --bin repro -- e2 --trace t.json
@@ -14,24 +12,18 @@
 //! cargo run -p dyser-bench --release --bin repro -- dse --kernels saxpy --dims 2,4 --n 64
 //! cargo run -p dyser-bench --release --bin repro -- dse --no-prune --csv
 //! cargo run -p dyser-bench --release --bin repro -- fuzz --cases 10000 --seed 0xD75E --shrink
-//! cargo run -p dyser-bench --release --bin repro -- fuzz --cases 2000 --time
 //! cargo run -p dyser-bench --release --bin repro -- all --csv --serve http://127.0.0.1:7878
 //! ```
 //!
-//! `--time` only rebaselines `BENCH_repro.json` when the full suite ran;
-//! partial runs (a subset of ids, or `fuzz --time`) go to
-//! `BENCH_repro.partial.json` so they can never poison the
-//! `load_reference` baselines.
+//! Host performance is measured by `perfbench/` (see `BENCHMARK.json`),
+//! not by `repro`. A closed stdout (`repro all --csv | head -1`) ends the
+//! run quietly.
+
+use std::fmt::Display;
+use std::io::{self, Write};
 
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
-use dyser_bench::{
-    load_reference, run_experiment, run_fuzz_cli, stats_attribution, time_experiments, time_fuzz,
-    timing_json, Scale, EXPERIMENT_IDS,
-};
-
-/// Default measured repetitions per experiment in `--time` mode (after
-/// one untimed warmup run); override with `--reps N`.
-const TIME_REPS: usize = 3;
+use dyser_bench::{run_experiment, run_fuzz_cli, stats_attribution, Scale, EXPERIMENT_IDS};
 
 /// Per-component ring-buffer capacity in `--trace` mode. Big enough to
 /// keep a whole microbenchmark run; longer runs keep the newest events.
@@ -74,12 +66,22 @@ fn write_or_exit(path: &str, contents: &str) {
     }
 }
 
-/// The timing-report path for a run covering `ids`: only a full-suite
-/// run may rebaseline `BENCH_repro.json`; anything else (a subset of
-/// experiments, or the fuzz campaign) writes `BENCH_repro.partial.json`.
-fn timing_path(ids: &[&str]) -> &'static str {
-    let full_suite = EXPERIMENT_IDS.iter().all(|id| ids.contains(id));
-    if full_suite { "BENCH_repro.json" } else { "BENCH_repro.partial.json" }
+/// Ends the process after a failed stdout write. A closed stdout means
+/// the reader has all it wanted, so that exits quietly with status 0;
+/// any other failure is reported as a typed [`JobError::Io`].
+fn stdout_failed(e: &io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("repro: {}", JobError::Io(format!("write stdout: {e}")));
+    std::process::exit(1);
+}
+
+/// Writes `text` and a newline to stdout (see [`stdout_failed`]).
+fn say(text: impl Display) {
+    if let Err(e) = writeln!(io::stdout(), "{text}") {
+        stdout_failed(&e);
+    }
 }
 
 /// `repro dse [--kernels a,b] [--dims 2,4] [--mixes default,universal]
@@ -182,9 +184,9 @@ fn dse_main(mut args: Vec<String>) -> ! {
     match outcome.table() {
         Ok(table) => {
             if csv {
-                println!("{}", table.to_csv());
+                say(table.to_csv());
             } else {
-                println!("{table}");
+                say(table);
             }
         }
         Err(e) => {
@@ -194,47 +196,25 @@ fn dse_main(mut args: Vec<String>) -> ! {
     }
     let path = dse::dse_path(&plan);
     write_or_exit(path, &outcome.to_json());
-    println!("wrote {path}");
+    say(format_args!("wrote {path}"));
     std::process::exit(0);
 }
 
-/// `repro fuzz [--cases N] [--seed S] [--shrink] [--time [--reps N]]`:
-/// the differential-fuzzing campaign driver. Never returns.
+/// `repro fuzz [--cases N] [--seed S] [--shrink]`: the
+/// differential-fuzzing campaign driver. Never returns.
 fn fuzz_main(mut args: Vec<String>) -> ! {
     let cases = take_value(&mut args, "--cases", parse_u64).unwrap_or(FUZZ_CASES);
     let seed = take_value(&mut args, "--seed", parse_u64).unwrap_or(FUZZ_SEED);
-    let reps = take_value(&mut args, "--reps", |v| {
-        v.parse::<usize>().ok().filter(|&n| n > 0)
-    })
-    .unwrap_or(TIME_REPS);
     let shrink = args.iter().any(|a| a == "--shrink");
-    let time = args.iter().any(|a| a == "--time");
-    args.retain(|a| a != "--shrink" && a != "--time");
+    args.retain(|a| a != "--shrink");
     if let Some(stray) = args.first() {
-        eprintln!(
-            "unknown fuzz argument `{stray}`; valid: --cases N --seed S --shrink --time --reps N"
-        );
+        eprintln!("unknown fuzz argument `{stray}`; valid: --cases N --seed S --shrink");
         std::process::exit(2);
     }
-    if time {
-        let reference = load_reference("BENCH_repro.json");
-        let (timing, cases_per_sec) = time_fuzz(cases, seed, reps);
-        println!(
-            "{:>8}  median {:>9.3} ms  min {:>9.3} ms  {:>12} cycles  {:>8.2} Mcyc/s  {:.1} cases/s",
-            timing.id,
-            timing.wall_ms_median,
-            timing.wall_ms_min,
-            timing.sim_cycles,
-            timing.mcycles_per_sec,
-            cases_per_sec
-        );
-        let json = timing_json(&[timing], reps, &reference, Some(cases_per_sec));
-        let path = timing_path(&[]);
-        write_or_exit(path, &json);
-        println!("wrote {path}");
-        std::process::exit(0);
+    match run_fuzz_cli(&mut io::stdout(), cases, seed, shrink) {
+        Ok(code) => std::process::exit(code),
+        Err(e) => stdout_failed(&e),
     }
-    std::process::exit(run_fuzz_cli(cases, seed, shrink));
 }
 
 fn main() {
@@ -257,7 +237,6 @@ fn main() {
         }
     }
     let csv = args.iter().any(|a| a == "--csv");
-    let time = args.iter().any(|a| a == "--time");
     let trace_path = args.iter().position(|a| a == "--trace").map(|i| {
         if i + 1 >= args.len() {
             eprintln!("--trace requires an output path");
@@ -267,20 +246,11 @@ fn main() {
         args.drain(i..=i + 1);
         path
     });
-    let reps = args
-        .iter()
-        .position(|a| a == "--reps")
-        .map(|i| {
-            let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-            else {
-                eprintln!("--reps requires a positive repetition count");
-                std::process::exit(2);
-            };
-            args.drain(i..=i + 1);
-            n
-        })
-        .unwrap_or(TIME_REPS);
-    args.retain(|a| a != "--csv" && a != "--time");
+    args.retain(|a| a != "--csv");
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown argument `{flag}`; valid: --csv --trace PATH --backend B --serve URL");
+        std::process::exit(2);
+    }
     let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         EXPERIMENT_IDS.to_vec()
     } else {
@@ -293,14 +263,14 @@ fn main() {
         }
     }
     if let Some(url) = serve_url {
-        if time || trace_path.is_some() {
-            eprintln!("--serve does not support --time or --trace; run those locally");
+        if trace_path.is_some() {
+            eprintln!("--serve does not support --trace; run it locally");
             std::process::exit(2);
         }
         for id in ids {
             let job = JobRequest::Experiment { id: id.to_owned(), csv, scale: 1.0, backend };
             match serve::submit(&url, &job) {
-                Ok(JobResult::Experiment { text }) => println!("{text}"),
+                Ok(JobResult::Experiment { text }) => say(text),
                 Ok(other) => {
                     eprintln!("repro: {id} via {url}: unexpected result {other:?}");
                     std::process::exit(1);
@@ -313,28 +283,6 @@ fn main() {
         }
         return;
     }
-    if time {
-        let reference = load_reference("BENCH_repro.json");
-        let timings = time_experiments(&ids, reps);
-        for t in &timings {
-            if t.config_only {
-                println!(
-                    "{:>8}  median {:>9.3} ms  min {:>9.3} ms  (config only, no simulation)",
-                    t.id, t.wall_ms_median, t.wall_ms_min
-                );
-            } else {
-                println!(
-                    "{:>8}  median {:>9.3} ms  min {:>9.3} ms  {:>12} cycles  {:>8.2} Mcyc/s",
-                    t.id, t.wall_ms_median, t.wall_ms_min, t.sim_cycles, t.mcycles_per_sec
-                );
-            }
-        }
-        let json = timing_json(&timings, reps, &reference, None);
-        let path = timing_path(&ids);
-        write_or_exit(path, &json);
-        println!("wrote {path}");
-        return;
-    }
     if trace_path.is_some() {
         dyser_core::set_trace_capacity(TRACE_EVENTS);
     }
@@ -342,9 +290,9 @@ fn main() {
         let table =
             if id == "stats" { stats_attribution(Scale(1.0)) } else { run_experiment(id) };
         if csv {
-            println!("{}", table.to_csv());
+            say(table.to_csv());
         } else {
-            println!("{table}");
+            say(table);
         }
     }
     if let Some(path) = trace_path {
@@ -352,6 +300,9 @@ fn main() {
         let events: usize = runs.iter().map(|r| r.events.len()).sum();
         let json = dyser_trace::chrome_trace_json(&runs);
         write_or_exit(&path, &json);
-        println!("wrote {path}: {} runs, {events} events (chrome://tracing format)", runs.len());
+        say(format_args!(
+            "wrote {path}: {} runs, {events} events (chrome://tracing format)",
+            runs.len()
+        ));
     }
 }

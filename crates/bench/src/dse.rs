@@ -828,8 +828,8 @@ impl DseOutcome {
 /// The report path for a sweep of `plan`: only the full committed sweep
 /// ([`DsePlan::default`], bit for bit) may rebaseline `BENCH_dse.json`;
 /// any filtered or modified plan writes `BENCH_dse.partial.json`
-/// (gitignored) — the same convention `BENCH_repro.partial.json`
-/// follows, so a narrowed sweep can never poison the committed surface.
+/// (gitignored), so a narrowed sweep can never poison the committed
+/// surface.
 #[must_use]
 pub fn dse_path(plan: &DsePlan) -> &'static str {
     if *plan == DsePlan::default() {

@@ -2,13 +2,12 @@
 //! table/figure of the evaluation (see `DESIGN.md` for the index).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use dyser_compiler::LoopShape;
 use dyser_core::{
-    backend_override, default_workers, run_kernel, run_kernels, run_program, speed_stat_totals,
-    trace_capacity, KernelJob, KernelResult, RunConfig,
+    backend_override, default_workers, parallel_map, run_kernel, run_kernel_traced, run_kernels,
+    run_program, sink_trace, trace_capacity, KernelJob, KernelResult, RunConfig, SpeedStats,
 };
 use dyser_energy::EnergyModel;
 use dyser_fabric::{FabricGeometry, FuKind, StructuralStats};
@@ -27,7 +26,7 @@ pub const EXPERIMENT_IDS: [&str; 14] =
 pub const SEED: u64 = 0xD75E;
 
 /// Size scale: 1.0 = the full evaluation sizes used by `repro`;
-/// smaller values shrink inputs for the Criterion benches.
+/// smaller values shrink inputs for tests and scaled service jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale(pub f64);
 
@@ -78,8 +77,6 @@ pub fn run_experiment_scaled(id: &str, scale: Scale) -> ExpTable {
 /// later tables replay the cached [`KernelResult`]. The experiments are
 /// deterministic, so a replay is bit-identical to a re-run.
 static RESULT_MEMO: OnceLock<Mutex<HashMap<String, KernelResult>>> = OnceLock::new();
-static RESULT_HITS: AtomicU64 = AtomicU64::new(0);
-static RESULT_MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn result_memo() -> &'static Mutex<HashMap<String, KernelResult>> {
     RESULT_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
@@ -92,19 +89,13 @@ fn memo_key(kernel: &str, n: usize, config: &RunConfig) -> String {
     format!("{kernel}|{n}|{:?}|{config:?}", backend_override())
 }
 
-/// Looks up a cached result, counting the hit or miss. Tracing bypasses
-/// the memo entirely (a replayed result produces no trace events), and
-/// bypassed lookups count as neither hit nor miss.
+/// Looks up a cached result. Tracing bypasses the memo entirely (a
+/// replayed result produces no trace events).
 fn memo_get(key: &str) -> Option<KernelResult> {
     if trace_capacity() > 0 {
         return None;
     }
-    let hit = result_memo().lock().expect("result memo lock").get(key).cloned();
-    match hit {
-        Some(_) => RESULT_HITS.fetch_add(1, Ordering::Relaxed),
-        None => RESULT_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
+    result_memo().lock().expect("result memo lock").get(key).cloned()
 }
 
 fn memo_put(key: String, result: &KernelResult) {
@@ -112,20 +103,6 @@ fn memo_put(key: String, result: &KernelResult) {
         return;
     }
     result_memo().lock().expect("result memo lock").insert(key, result.clone());
-}
-
-/// Empties the result memo (the hit/miss counters keep counting).
-/// `time_experiments` clears it before every warmup and repetition so a
-/// timed run measures real simulation, not a map lookup.
-pub fn clear_result_memo() {
-    result_memo().lock().expect("result memo lock").clear();
-}
-
-/// Process-wide result-memo counters: `(hits, misses)` across every
-/// experiment run so far. Surfaced as a `repro stats` note.
-#[must_use]
-pub fn result_memo_stats() -> (u64, u64) {
-    (RESULT_HITS.load(Ordering::Relaxed), RESULT_MISSES.load(Ordering::Relaxed))
 }
 
 fn kernel_by_name(name: &str) -> Kernel {
@@ -338,24 +315,32 @@ pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
 pub fn stats_attribution(scale: Scale) -> ExpTable {
     let mut headers: Vec<&str> = vec!["kernel", "run", "cycles"];
     headers.extend(bucket_labels());
-    // The process-wide speed totals only grow; snapshot them so the
-    // notes report this sweep alone. Without the subtraction a second
-    // invocation in the same process (`--reps N`, `repro e2 stats`, a
-    // long-lived serve daemon) would fold every earlier run's counters
-    // into the hit rates.
-    let speed_before = speed_stat_totals();
-    // A stats sweep diagnoses the simulation hot path, so it must run
-    // real simulation: empty the cross-table result memo (a replayed
-    // sweep would show an idle decode cache) and report the memo's
-    // sweep-local counters by the same snapshot-delta scheme.
-    clear_result_memo();
-    let (memo_hits_before, memo_misses_before) = result_memo_stats();
     let mut t = ExpTable::new("Stats: cycle attribution by bucket (% of run cycles)", &headers);
     let raw_headers: Vec<String> =
         bucket_labels().iter().map(|l| format!("{l}-cycles")).collect();
     t.csv_extra_headers(&raw_headers.iter().map(String::as_str).collect::<Vec<_>>());
-    for (k, _n, r) in run_suite(suite(), scale) {
-        for (run, stats) in [("baseline", &r.baseline), ("dyser", &r.dyser)] {
+    // A stats sweep diagnoses the simulation hot path, so it simulates
+    // every leg itself, outside the result memo (a replayed sweep would
+    // show an idle decode cache). Its cache notes sum the counters its
+    // own runs return, so other simulation in the process never leaks in.
+    let kernels = suite();
+    let sizes: Vec<usize> = kernels.iter().map(|k| scale.n(k.default_n)).collect();
+    let jobs: Vec<KernelJob> =
+        kernels.iter().zip(&sizes).map(|(k, &n)| job_for(k, n, |_| {})).collect();
+    let swept = parallel_map(&jobs, default_workers(), |(case, config)| {
+        run_kernel_traced(case, config, trace_capacity())
+    });
+    let mut speed = SpeedStats::default();
+    for ((k, n), swept) in kernels.iter().zip(sizes).zip(swept) {
+        let (_, legs) = swept.unwrap_or_else(|e| panic!("{} (n={n}): {e}", k.name));
+        for (run, leg) in ["baseline", "dyser"].into_iter().zip(legs) {
+            speed.decode_hits += leg.speed.decode_hits;
+            speed.decode_misses += leg.speed.decode_misses;
+            speed.blocks.hits += leg.speed.blocks.hits;
+            speed.blocks.misses += leg.speed.blocks.misses;
+            speed.blocks.invalidations += leg.speed.blocks.invalidations;
+            sink_trace(leg.trace);
+            let stats = &leg.stats;
             let acct = stats.cycle_account();
             assert!(
                 acct.balanced(),
@@ -382,7 +367,6 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
     }
     t.note("buckets are exclusive and exhaustive: each row's buckets sum to its cycle count");
     t.note("mem-miss equals the hierarchy's own stall count on every row (cross-checked)");
-    let speed = speed_stat_totals().minus(&speed_before);
     t.note(format!(
         "decode cache (interpreted issue path): {} hits / {} misses ({:.1}% hit rate)",
         speed.decode_hits,
@@ -396,14 +380,6 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
         speed.blocks.misses,
         speed.blocks.invalidations,
         percent(speed.blocks.hits, speed.blocks.hits + speed.blocks.misses),
-    ));
-    let (memo_hits_after, memo_misses_after) = result_memo_stats();
-    let memo_hits = memo_hits_after - memo_hits_before;
-    let memo_misses = memo_misses_after - memo_misses_before;
-    t.note(format!(
-        "result memo (cross-table, this sweep): {memo_hits} hits / {memo_misses} misses \
-         ({:.1}% hit rate)",
-        percent(memo_hits, memo_hits + memo_misses),
     ));
     t
 }
@@ -866,22 +842,15 @@ mod tests {
         // A config no other test uses, so the key is this test's alone.
         let tweak = |c: &mut RunConfig| c.system.fifo_depth = 7;
         let first = run_one(&k, n, tweak);
-        // Another test may clear the memo concurrently (time_experiments
-        // clears per repetition); retry until a lookup lands as a hit.
-        let mut hit_seen = false;
-        for _ in 0..5 {
-            let (h0, _) = result_memo_stats();
-            let again = run_one(&k, n, tweak);
-            assert_eq!(again.baseline.cycles, first.baseline.cycles);
-            assert_eq!(again.dyser.cycles, first.dyser.cycles);
-            assert_eq!(again.speedup, first.speedup);
-            let (h1, _) = result_memo_stats();
-            if h1 > h0 {
-                hit_seen = true;
-                break;
-            }
-        }
-        assert!(hit_seen, "repeated identical runs never hit the result memo");
+        let key = memo_key(k.name, n, &job_for(&k, n, tweak).1);
+        assert!(
+            result_memo().lock().expect("result memo lock").contains_key(&key),
+            "a finished run must be stored in the result memo"
+        );
+        let again = run_one(&k, n, tweak);
+        assert_eq!(again.baseline.cycles, first.baseline.cycles);
+        assert_eq!(again.dyser.cycles, first.dyser.cycles);
+        assert_eq!(again.speedup, first.speedup);
     }
 
     #[test]

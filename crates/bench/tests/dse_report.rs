@@ -1,7 +1,6 @@
-//! Regression tests for the `BENCH_dse.json` report path, mirroring the
-//! `BENCH_repro.partial.json` convention `tests/stats_reps.rs` guards on
-//! the timing side: a filtered or otherwise modified sweep must never be
-//! able to clobber the committed full-sweep surface.
+//! Regression tests for the `BENCH_dse.json` report path: a filtered or
+//! otherwise modified sweep writes `BENCH_dse.partial.json`, so it can
+//! never clobber the committed full-sweep surface.
 
 use dyser_bench::dse::{dse_path, DsePlan, FuMix, MemPreset};
 use dyser_core::Backend;

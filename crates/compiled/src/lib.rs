@@ -246,19 +246,6 @@ pub struct BlockCacheStats {
     pub invalidations: u64,
 }
 
-impl BlockCacheStats {
-    /// Counter-wise difference against an earlier snapshot (saturating),
-    /// turning process-lifetime totals into the counts of one window.
-    #[must_use]
-    pub fn minus(&self, earlier: &BlockCacheStats) -> BlockCacheStats {
-        BlockCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-        }
-    }
-}
-
 /// A direct-mapped cache of translated [`Block`]s keyed by exact entry
 /// PC, validated against the code page's write generation on every
 /// lookup.

@@ -16,7 +16,6 @@ use std::thread;
 use dyser_compiler::{
     compile, CompileError, CompiledProgram, CompilerOptions, Function, Program, RegionReport,
 };
-use dyser_sparc::{CycleAccount, CycleBucket};
 use dyser_trace::TraceRun;
 
 use crate::system::{RunStats, SpeedStats, SysError, System, SystemConfig};
@@ -237,38 +236,6 @@ impl From<CompileError> for HarnessError {
     }
 }
 
-/// Simulated cycles accumulated by every [`run_program`] call in this
-/// process; the numerator of the harness's cycles-per-second throughput
-/// reported by `repro --time`.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Total simulated cycles across all runs so far in this process.
-#[must_use]
-pub fn simulated_cycles() -> u64 {
-    SIM_CYCLES.load(Ordering::Relaxed)
-}
-
-/// Per-bucket cycle totals accumulated by every [`run_program`] call,
-/// indexed like [`CycleBucket::ALL`]. Together they account for every
-/// entry in [`SIM_CYCLES`] — the process-wide face of the attribution
-/// identity.
-static BUCKET_TOTALS: [AtomicU64; 9] = [const { AtomicU64::new(0) }; 9];
-
-/// The aggregate cycle attribution of every run so far in this process.
-///
-/// The returned account is balanced by construction: its `total_cycles`
-/// equals [`simulated_cycles`] sampled at the same moment the buckets
-/// were read (modulo races with concurrently finishing runs).
-#[must_use]
-pub fn cycle_bucket_totals() -> CycleAccount {
-    let mut acct = CycleAccount::default();
-    for (i, bucket) in CycleBucket::ALL.iter().enumerate() {
-        acct.add(*bucket, BUCKET_TOTALS[i].load(Ordering::Relaxed));
-    }
-    acct.total_cycles = acct.sum();
-    acct
-}
-
 /// Process-wide backend override: 0 = none (use each job's `RunConfig`),
 /// 1 = interpreted, 2 = compiled. Lets the CLI's `--backend` flag reach
 /// every run without threading through each experiment constructor.
@@ -299,36 +266,17 @@ pub fn backend_override() -> Option<Backend> {
     }
 }
 
-/// Simulator-speed counters (decode cache, block cache) accumulated by
-/// every [`run_program`] call, in [`SpeedStats`] field order: decode
-/// hits, decode misses, block hits, block misses, block invalidations.
-static SPEED_TOTALS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
-
-/// The aggregate issue-path cache counters of every run so far in this
-/// process (see [`SpeedStats`]).
-#[must_use]
-pub fn speed_stat_totals() -> SpeedStats {
-    SpeedStats {
-        decode_hits: SPEED_TOTALS[0].load(Ordering::Relaxed),
-        decode_misses: SPEED_TOTALS[1].load(Ordering::Relaxed),
-        blocks: dyser_compiled::BlockCacheStats {
-            hits: SPEED_TOTALS[2].load(Ordering::Relaxed),
-            misses: SPEED_TOTALS[3].load(Ordering::Relaxed),
-            invalidations: SPEED_TOTALS[4].load(Ordering::Relaxed),
-        },
-    }
-}
-
-/// Ring-buffer capacity for event tracing in [`run_program`]; zero (the
-/// default) disables tracing entirely.
+/// Ring-buffer capacity for event tracing in [`run_program`] and
+/// [`run_whole_program`]; zero (the default) disables tracing entirely.
 static TRACE_CAP: AtomicUsize = AtomicUsize::new(0);
 
 /// Completed traces awaiting collection by [`take_traces`].
 static TRACE_SINK: Mutex<Vec<TraceRun>> = Mutex::new(Vec::new());
 
 /// Enables (capacity > 0) or disables (capacity == 0) event tracing for
-/// subsequent [`run_program`] calls in this process. Each run traces into
-/// per-component ring buffers of `capacity` events.
+/// subsequent [`run_program`] and [`run_whole_program`] calls in this
+/// process. Each run traces into per-component ring buffers of
+/// `capacity` events.
 pub fn set_trace_capacity(capacity: usize) {
     TRACE_CAP.store(capacity, Ordering::Relaxed);
 }
@@ -348,28 +296,6 @@ pub fn take_traces() -> Vec<TraceRun> {
     std::mem::take(&mut *TRACE_SINK.lock().expect("trace sink lock"))
 }
 
-/// Credits one finished run to the process-wide accounting: simulated
-/// cycles, cycle buckets, and issue-path cache counters. Every path that
-/// completes a simulation must pass through here exactly once per run, so
-/// `repro --time` throughput and `repro stats` attribution describe the
-/// whole process.
-fn credit_run(stats: &RunStats, speed: &SpeedStats) {
-    for (slot, count) in SPEED_TOTALS.iter().zip([
-        speed.decode_hits,
-        speed.decode_misses,
-        speed.blocks.hits,
-        speed.blocks.misses,
-        speed.blocks.invalidations,
-    ]) {
-        slot.fetch_add(count, Ordering::Relaxed);
-    }
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    let acct = stats.cycle_account();
-    for (i, bucket) in CycleBucket::ALL.iter().enumerate() {
-        BUCKET_TOTALS[i].fetch_add(acct.get(*bucket), Ordering::Relaxed);
-    }
-}
-
 /// Everything one simulated job produces beyond its verdict: the run
 /// statistics, the per-run issue-path cache counters, and (when the
 /// caller asked for one) the run's own trace — owned by the caller, not
@@ -386,17 +312,56 @@ pub struct RunArtifacts {
     pub trace: Option<TraceRun>,
 }
 
+/// Deposits a finished run's trace, if it has one, in the process-wide
+/// sink that [`take_traces`] drains. [`run_program`] and
+/// [`run_whole_program`] pass every trace through here; callers of
+/// [`run_program_traced`] that trace at [`trace_capacity`] do the same.
+pub fn sink_trace(trace: Option<TraceRun>) {
+    if let Some(run) = trace {
+        TRACE_SINK.lock().expect("trace sink lock").push(run);
+    }
+}
+
+/// Runs a loaded `sys` to completion on the engine `config` selects,
+/// tracing into per-component rings of `trace_capacity` events when that
+/// is nonzero, and returns the run's statistics and trace.
+fn run_loaded(
+    sys: &mut System,
+    which: &'static str,
+    config: &RunConfig,
+    trace_capacity: usize,
+) -> Result<(RunStats, Option<TraceRun>), HarnessError> {
+    if trace_capacity > 0 {
+        sys.enable_trace(trace_capacity);
+    }
+    let run = if config.stepped {
+        sys.run_stepped(config.max_cycles)
+    } else {
+        match backend_override().unwrap_or(config.backend) {
+            Backend::Interpreted => sys.run(config.max_cycles),
+            Backend::Compiled => sys.run_compiled(config.max_cycles),
+        }
+    };
+    let stats = run.map_err(|source| HarnessError::Run { which, source })?;
+    debug_assert!(
+        stats.cycle_account().balanced(),
+        "{which}: attribution buckets do not sum to the run's {} cycles",
+        stats.cycles
+    );
+    let trace = sys
+        .take_trace()
+        .map(|(events, dropped)| TraceRun { label: which.to_string(), events, dropped });
+    Ok((stats, trace))
+}
+
 /// Runs one already-compiled program and verifies its outputs, returning
 /// every artifact to the caller ([`RunArtifacts`]).
 ///
 /// `trace_capacity > 0` enables event tracing into per-component ring
 /// buffers of that many events; the merged trace comes back in the
 /// artifacts instead of the process-global sink, so concurrent callers
-/// each own exactly their job's events.
-///
-/// The process-wide accounting (simulated cycles, cycle buckets, speed
-/// totals) is still credited — those totals describe the whole process
-/// by design.
+/// each own exactly their job's events. Debug builds check every run
+/// against the attribution identity `sum(buckets) == cycles`.
 ///
 /// # Errors
 ///
@@ -419,25 +384,9 @@ pub fn run_program_traced(
         sys.memory_mut().write_u64_slice(*addr, words);
     }
     sys.try_set_args(args).map_err(|source| HarnessError::Run { which, source })?;
-    if trace_capacity > 0 {
-        sys.enable_trace(trace_capacity);
-    }
-    let run = if config.stepped {
-        sys.run_stepped(config.max_cycles)
-    } else {
-        match backend_override().unwrap_or(config.backend) {
-            Backend::Interpreted => sys.run(config.max_cycles),
-            Backend::Compiled => sys.run_compiled(config.max_cycles),
-        }
-    };
-    let stats = run.map_err(|source| HarnessError::Run { which, source })?;
-    let speed = sys.speed_stats();
-    credit_run(&stats, &speed);
-    let trace = sys
-        .take_trace()
-        .map(|(events, dropped)| TraceRun { label: which.to_string(), events, dropped });
+    let (stats, trace) = run_loaded(&mut sys, which, config, trace_capacity)?;
     verify_expected(&sys, expected, which)?;
-    Ok(RunArtifacts { stats, speed, trace })
+    Ok(RunArtifacts { stats, speed: sys.speed_stats(), trace })
 }
 
 /// Runs one already-compiled program (IR not required — manual DySER
@@ -458,11 +407,9 @@ pub fn run_program(
     expected: &[(u64, Vec<u64>)],
     config: &RunConfig,
 ) -> Result<RunStats, HarnessError> {
-    let trace_cap = TRACE_CAP.load(Ordering::Relaxed);
-    let artifacts = run_program_traced(which, program, args, init, expected, config, trace_cap)?;
-    if let Some(run) = artifacts.trace {
-        TRACE_SINK.lock().expect("trace sink lock").push(run);
-    }
+    let artifacts =
+        run_program_traced(which, program, args, init, expected, config, trace_capacity())?;
+    sink_trace(artifacts.trace);
     Ok(artifacts.stats)
 }
 
@@ -528,10 +475,12 @@ pub fn compile_cache_misses() -> u64 {
     COMPILE_CACHE.get().map_or(0, |c| c.misses.load(Ordering::Relaxed))
 }
 
-/// Compiles and runs `case` both ways; verifies both runs.
+/// Compiles `case` and runs it both ways, returning the compiled program
+/// and each leg's caller-owned [`RunArtifacts`], baseline first.
 ///
 /// The baseline leg runs first, then the DySER leg, both on the calling
-/// thread: callers that want parallelism fan whole jobs out through
+/// thread and each traced at `trace_capacity` ([`run_program_traced`]):
+/// callers that want parallelism fan whole jobs out through
 /// [`run_kernels`] / [`parallel_map`], whose workers would only be
 /// oversubscribed by a second thread per job. A baseline error is
 /// reported before the DySER leg runs.
@@ -540,24 +489,40 @@ pub fn compile_cache_misses() -> u64 {
 ///
 /// Fails on compile errors, run faults, or verification mismatches —
 /// a mismatch is a simulator or compiler bug, never tolerated.
-pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult, HarnessError> {
+pub fn run_kernel_traced(
+    case: &KernelCase,
+    config: &RunConfig,
+    trace_capacity: usize,
+) -> Result<(Arc<CompiledProgram>, [RunArtifacts; 2]), HarnessError> {
     let compiled = compile_cached(&case.function, &config.compiler)?;
+    let leg = |which, program| {
+        let (args, init, expected) = (&case.args, &case.init, &case.expected);
+        run_program_traced(which, program, args, init, expected, config, trace_capacity)
+    };
+    let legs = [leg("baseline", &compiled.baseline)?, leg("dyser", &compiled.accelerated)?];
+    Ok((compiled, legs))
+}
+
+/// Compiles and runs `case` both ways ([`run_kernel_traced`]); verifies
+/// both runs. Tracing follows the process-wide capacity and both traces
+/// land in the sink, like [`run_program`].
+///
+/// # Errors
+///
+/// As [`run_kernel_traced`].
+pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult, HarnessError> {
+    let (compiled, [base, dyser]) = run_kernel_traced(case, config, trace_capacity())?;
+    sink_trace(base.trace);
+    sink_trace(dyser.trace);
     let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
-
-    let base_stats =
-        run_program("baseline", baseline, &case.args, &case.init, &case.expected, config)?;
-    let dyser_stats =
-        run_program("dyser", accelerated, &case.args, &case.init, &case.expected, config)?;
-
-    let speedup = base_stats.cycles as f64 / dyser_stats.cycles.max(1) as f64;
     Ok(KernelResult {
         name: case.name.clone(),
-        speedup,
+        speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
         accelerated_any: *accelerated_any,
         regions: regions.clone(),
         code_sizes: (baseline.len(), accelerated.len()),
-        baseline: base_stats,
-        dyser: dyser_stats,
+        baseline: base.stats,
+        dyser: dyser.stats,
     })
 }
 
@@ -656,8 +621,8 @@ pub struct ProgramRun {
 /// stack, proxy kernel, trap-and-emulate syscalls — and verifies its
 /// memory, stdout, and exit code against the references.
 ///
-/// The backend follows `config` exactly like [`run_program`]; stats are
-/// credited to the process-wide accounting.
+/// The backend and tracing follow `config` and the process-wide capacity
+/// exactly like [`run_program`], and the trace lands in the same sink.
 ///
 /// # Errors
 ///
@@ -678,16 +643,7 @@ pub fn run_whole_program(
     let argv: Vec<&str> = case.argv.iter().map(String::as_str).collect();
     let envp: Vec<&str> = case.envp.iter().map(String::as_str).collect();
     sys.setup_process(&argv, &envp, &case.stdin);
-    let outcome = if config.stepped {
-        sys.run_stepped(config.max_cycles)
-    } else {
-        match backend_override().unwrap_or(config.backend) {
-            Backend::Interpreted => sys.run(config.max_cycles),
-            Backend::Compiled => sys.run_compiled(config.max_cycles),
-        }
-    };
-    let stats = outcome.map_err(as_run)?;
-    credit_run(&stats, &sys.speed_stats());
+    let (stats, trace) = run_loaded(&mut sys, which, config, trace_capacity())?;
     verify_expected(&sys, &case.expected, which)?;
     let got_exit = sys.kernel().exit_code().unwrap_or(0);
     if got_exit != case.expected_exit {
@@ -704,6 +660,7 @@ pub fn run_whole_program(
             got: sys.kernel().stdout().to_vec(),
         });
     }
+    sink_trace(trace);
     Ok(ProgramRun {
         stats,
         stdout: sys.kernel().stdout().to_vec(),

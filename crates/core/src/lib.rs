@@ -41,10 +41,10 @@ pub mod report;
 pub mod system;
 
 pub use harness::{
-    backend_override, compile_cache_misses, compile_cached, cycle_bucket_totals, default_workers,
-    parallel_map, run_kernel, run_kernels, run_program, run_program_case, run_program_traced,
-    run_whole_program, set_backend_override, set_trace_capacity, simulated_cycles,
-    speed_stat_totals, take_traces, trace_capacity, Backend, HarnessError, KernelCase, KernelJob,
-    KernelResult, ProgramCase, ProgramRun, RunArtifacts, RunConfig,
+    backend_override, compile_cache_misses, compile_cached, default_workers, parallel_map,
+    run_kernel, run_kernel_traced, run_kernels, run_program, run_program_case, run_program_traced,
+    run_whole_program, set_backend_override, set_trace_capacity, sink_trace, take_traces,
+    trace_capacity, Backend, HarnessError, KernelCase, KernelJob, KernelResult, ProgramCase,
+    ProgramRun, RunArtifacts, RunConfig,
 };
 pub use system::{RunStats, SpeedStats, SysError, System, SystemConfig, HEAP_BASE, STACK_BASE};

@@ -319,23 +319,6 @@ pub struct SpeedStats {
     pub blocks: BlockCacheStats,
 }
 
-impl SpeedStats {
-    /// Counter-wise difference against an earlier snapshot (saturating).
-    ///
-    /// The process-wide totals (see `speed_stat_totals`) only ever grow;
-    /// reports that claim to describe *one* sweep must subtract the
-    /// totals sampled before it, or every earlier run in the process
-    /// inflates the hit rates.
-    #[must_use]
-    pub fn minus(&self, earlier: &SpeedStats) -> SpeedStats {
-        SpeedStats {
-            decode_hits: self.decode_hits.saturating_sub(earlier.decode_hits),
-            decode_misses: self.decode_misses.saturating_sub(earlier.decode_misses),
-            blocks: self.blocks.minus(&earlier.blocks),
-        }
-    }
-}
-
 /// The machine's execution state — core, memory hierarchy, accelerator,
 /// proxy kernel — as a plain value owned by [`System`].
 ///

@@ -42,8 +42,7 @@ use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
 use dyser_compiler::ir::parser::parse_module;
 use dyser_compiler::CompilerOptions;
 use dyser_core::{
-    compile_cached, run_program_traced, set_backend_override, Backend, HarnessError, KernelCase,
-    RunArtifacts, RunConfig,
+    run_kernel_traced, set_backend_override, Backend, HarnessError, KernelCase, RunConfig,
 };
 use dyser_fabric::FabricGeometry;
 use dyser_sparc::CycleBucket;
@@ -53,10 +52,6 @@ use dyser_workloads::suite;
 /// Per-component ring-buffer capacity for jobs that request a trace —
 /// the same capacity `repro --trace` uses.
 const TRACE_EVENTS: usize = 65_536;
-
-/// Jobs completed by this process (successes and typed failures alike);
-/// reported by `GET /health`.
-static JOBS_DONE: AtomicU64 = AtomicU64::new(0);
 
 /// Serializes use of the process-global backend override against every
 /// other job. An experiment job that needs a non-default global backend
@@ -162,50 +157,13 @@ fn build_run_config(
     Ok(rc)
 }
 
-/// Unwraps one run thread's outcome into the wire taxonomy.
-fn join_run(
-    joined: thread::Result<Result<RunArtifacts, HarnessError>>,
-) -> Result<RunArtifacts, JobError> {
-    match joined {
-        Ok(Ok(artifacts)) => Ok(artifacts),
-        Ok(Err(e)) => Err(JobError::from_harness(&e)),
-        Err(p) => Err(JobError::Internal(panic_message(&*p))),
-    }
-}
-
-/// Compiles `case` through the shared compile cache and runs baseline
-/// and accelerated binaries on two scoped threads — the same shape as
-/// the in-process `run_kernel`, but returning caller-owned artifacts so
-/// concurrent jobs never interleave traces or counters.
+/// Runs `case` both ways through the shared compile cache on the calling
+/// thread ([`run_kernel_traced`]), with caller-owned artifacts so
+/// concurrent jobs never interleave traces.
 fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobResult, JobError> {
-    let compiled = compile_cached(&case.function, &config.compiler)
-        .map_err(|e| JobError::Compile(e.to_string()))?;
     let capacity = if trace { TRACE_EVENTS } else { 0 };
-    let (base, dyser) = thread::scope(|s| {
-        let base = s.spawn(|| {
-            run_program_traced(
-                "baseline",
-                &compiled.baseline,
-                &case.args,
-                &case.init,
-                &case.expected,
-                config,
-                capacity,
-            )
-        });
-        let dyser = run_program_traced(
-            "dyser",
-            &compiled.accelerated,
-            &case.args,
-            &case.init,
-            &case.expected,
-            config,
-            capacity,
-        );
-        (join_run(base.join()), dyser.map_err(|e| JobError::from_harness(&e)))
-    });
-    let base = base?;
-    let dyser = dyser?;
+    let (_, [base, dyser]) =
+        run_kernel_traced(case, config, capacity).map_err(|e| JobError::from_harness(&e))?;
 
     let account = dyser.stats.core.cycle_account();
     let mut buckets: Vec<(String, u64)> = CycleBucket::ALL
@@ -406,15 +364,12 @@ impl AdmissionQueue {
     }
 }
 
-/// The daemon's health document.
-fn health_json(config: &ServeConfig) -> String {
+/// The daemon's health document; `jobs_done` counts this daemon's jobs.
+fn health_json(config: &ServeConfig, jobs_done: u64) -> String {
     format!(
         "{{\"ok\": true, \"shards\": {}, \"queue_depth\": {}, \"max_cycles_cap\": {}, \
-         \"jobs_done\": {}}}\n",
-        config.shards,
-        config.queue_depth,
-        config.max_cycles_cap,
-        JOBS_DONE.load(Ordering::Relaxed)
+         \"jobs_done\": {jobs_done}}}\n",
+        config.shards, config.queue_depth, config.max_cycles_cap,
     )
 }
 
@@ -425,8 +380,10 @@ fn respond(stream: &mut TcpStream, outcome: &Result<JobResult, JobError>) {
     let _ = write_http_response(stream, status, &envelope_json(outcome));
 }
 
-/// Services one accepted connection end to end.
-fn handle_connection(mut stream: TcpStream, config: &ServeConfig) {
+/// Services one accepted connection end to end. `jobs_done` is the
+/// running daemon's count of completed jobs (successes and typed
+/// failures alike), reported by `GET /health`.
+fn handle_connection(mut stream: TcpStream, config: &ServeConfig, jobs_done: &AtomicU64) {
     let request = match read_http_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -436,12 +393,13 @@ fn handle_connection(mut stream: TcpStream, config: &ServeConfig) {
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => {
-            let _ = write_http_response(&mut stream, 200, &health_json(config));
+            let health = health_json(config, jobs_done.load(Ordering::Relaxed));
+            let _ = write_http_response(&mut stream, 200, &health);
         }
         ("POST", "/job") => {
             let outcome = JobRequest::parse(&request.body)
                 .and_then(|job| execute_job(&job, config.max_cycles_cap));
-            JOBS_DONE.fetch_add(1, Ordering::Relaxed);
+            jobs_done.fetch_add(1, Ordering::Relaxed);
             respond(&mut stream, &outcome);
         }
         (_, "/job") => {
@@ -500,10 +458,11 @@ impl Server {
     pub fn run(self) {
         let queue = AdmissionQueue::new(self.config.queue_depth);
         let config = &self.config;
+        let jobs_done = AtomicU64::new(0);
         thread::scope(|s| {
             for _ in 0..config.shards.max(1) {
                 s.spawn(|| loop {
-                    handle_connection(queue.pop(), config);
+                    handle_connection(queue.pop(), config, &jobs_done);
                 });
             }
             for conn in self.listener.incoming() {

@@ -21,9 +21,8 @@ use dyser_workloads::suite;
 const SCALE: f64 = 0.08;
 
 /// The tests in this file share process-global state (the compile
-/// cache, the backend gate, the speed-stat counters); run them one at a
-/// time so each test's concurrency is exactly the concurrency it
-/// arranged itself.
+/// cache, the backend gate); run them one at a time so each test's
+/// concurrency is exactly the concurrency it arranged itself.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -279,6 +278,35 @@ fn impossible_and_malformed_jobs_return_typed_errors() {
 
     let health = dyser_bench::serve::health(&url).expect("health");
     assert!(health.contains("\"ok\": true"), "health reply: {health}");
+}
+
+#[test]
+fn health_counts_only_its_own_daemons_jobs() {
+    let _g = lock();
+    let busy = spawn_server(1);
+    let idle = spawn_server(1);
+    let job = JobRequest::Kernel {
+        name: suite()[0].name.to_owned(),
+        n: Some(8),
+        run: RunSpec::default(),
+        system: SystemSpec::default(),
+    };
+    for _ in 0..3 {
+        match submit(&busy, &job) {
+            Ok(JobResult::Run { .. }) => {}
+            other => panic!("expected a run, got {other:?}"),
+        }
+    }
+    let jobs_done = |url: &str| {
+        let health = dyser_bench::serve::health(url).expect("health");
+        dyser_trace::parse_json(&health)
+            .expect("health is JSON")
+            .get("jobs_done")
+            .and_then(dyser_trace::JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no jobs_done in {health}"))
+    };
+    assert_eq!(jobs_done(&busy), 3);
+    assert_eq!(jobs_done(&idle), 0);
 }
 
 #[test]
