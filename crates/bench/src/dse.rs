@@ -21,7 +21,8 @@
 //!    axis, so a point is only discarded when it is *provably* worse
 //!    than a survivor under the documented estimator error band.
 //! 4. **Simulate** the survivors through the parallel harness (Compiled
-//!    backend by default) and report cycles, energy
+//!    backend by default; each distinct scalar leg simulates once per
+//!    sweep, see [`run_dse`]) and report cycles, energy
 //!    ([`EnergyModel::estimate_for_geometry`]), config-load overhead,
 //!    and the estimated-vs-simulated accuracy of every survivor.
 //! 5. **Emit** the three-axis Pareto front (cycles / energy /
@@ -36,14 +37,14 @@
 use std::fmt;
 
 use dyser_core::{
-    compile_cached, default_workers, parallel_map, run_kernel, Backend, KernelResult, RunConfig,
+    compile_cached, default_workers, parallel_map, Backend, KernelResult, LegMemo, RunConfig,
 };
 use dyser_energy::{Activity, EnergyModel};
 use dyser_fabric::{FabricConfigError, FabricGeometry, DEFAULT_CONFIG_BUS_BITS};
 use std::collections::HashMap;
 use dyser_mem::MemConfig;
 use dyser_sparc::StallCause;
-use dyser_workloads::{program_inner_kernels, suite, Kernel};
+use dyser_workloads::{program_inner_kernels, suite, Kernel, SizeError};
 
 use crate::experiments::SEED;
 use crate::table::{ExpTable, TableError};
@@ -304,8 +305,18 @@ pub enum DseError {
     Config(FabricConfigError),
     /// An axis with no values (the sweep would be empty).
     EmptyAxis(&'static str),
+    /// A value listed twice on one axis (the sweep would simulate the
+    /// same point more than once).
+    DuplicateValue {
+        /// The axis.
+        axis: &'static str,
+        /// The repeated value, as spelled on the command line.
+        value: String,
+    },
     /// An unroll factor outside `1..=MAX_UNROLL`.
     BadUnroll(usize),
+    /// A problem size a swept kernel cannot hold.
+    BadSize(SizeError),
     /// A survivor failed compilation or simulation.
     Run(String),
     /// A report row could not be assembled.
@@ -318,9 +329,13 @@ impl fmt::Display for DseError {
             DseError::UnknownKernel(k) => write!(f, "unknown kernel {k:?} (see `dyser-workloads`)"),
             DseError::Config(e) => write!(f, "invalid sweep point: {e}"),
             DseError::EmptyAxis(axis) => write!(f, "sweep axis `{axis}` has no values"),
+            DseError::DuplicateValue { axis, value } => {
+                write!(f, "sweep axis `{axis}` lists {value} more than once")
+            }
             DseError::BadUnroll(u) => {
                 write!(f, "unroll factor {u} is outside 1..={MAX_UNROLL}")
             }
+            DseError::BadSize(e) => write!(f, "invalid problem size: {e}"),
             DseError::Run(e) => write!(f, "survivor simulation failed: {e}"),
             DseError::Table(e) => write!(f, "report assembly failed: {e}"),
         }
@@ -362,33 +377,43 @@ pub fn check_unroll(unroll: usize) -> Result<(), DseError> {
 }
 
 impl DsePlan {
-    /// Validates every axis value up front: kernel names against the
-    /// suite, geometry dimensions through [`FabricGeometry::try_new`],
-    /// FIFO depths against the zero-depth error, unroll factors through
-    /// [`check_unroll`]. This is the CLI's parse-time gate — after it
-    /// passes, no point of the sweep can hit a construction panic.
+    /// Validates every axis value up front: no axis empty or listing a
+    /// value twice, kernel names against the suite, the problem size
+    /// against each kernel's [`Kernel::sizes`], geometry dimensions
+    /// through [`FabricGeometry::try_new`], FIFO depths against the
+    /// zero-depth error, unroll factors through [`check_unroll`]. This is
+    /// the CLI's parse-time gate — after it passes, no point of the sweep
+    /// can hit a construction panic.
     ///
     /// # Errors
     ///
     /// Returns the first offending axis value as a typed [`DseError`].
     pub fn validate(&self) -> Result<(), DseError> {
-        for (axis, empty) in [
-            ("kernels", self.kernels.is_empty()),
-            ("dims", self.dims.is_empty()),
-            ("mixes", self.mixes.is_empty()),
-            ("fifos", self.fifos.is_empty()),
-            ("mems", self.mems.is_empty()),
-            ("unrolls", self.unrolls.is_empty()),
-        ] {
-            if empty {
+        let spelled = |values: &[usize]| values.iter().map(ToString::to_string).collect();
+        let axes: [(&'static str, Vec<String>); 6] = [
+            ("kernels", self.kernels.clone()),
+            ("dims", spelled(&self.dims)),
+            ("mixes", self.mixes.iter().map(|m| m.label().to_owned()).collect()),
+            ("fifos", spelled(&self.fifos)),
+            ("mems", self.mems.iter().map(|m| m.label().to_owned()).collect()),
+            ("unrolls", spelled(&self.unrolls)),
+        ];
+        for (axis, values) in axes {
+            if values.is_empty() {
                 return Err(DseError::EmptyAxis(axis));
+            }
+            let repeat = values.iter().enumerate().find(|(i, v)| values[..*i].contains(v));
+            if let Some((_, value)) = repeat {
+                return Err(DseError::DuplicateValue { axis, value: value.clone() });
             }
         }
         let known = dse_kernels();
         for name in &self.kernels {
-            if !known.iter().any(|k| k.name == *name) {
-                return Err(DseError::UnknownKernel(name.clone()));
-            }
+            let kernel = known
+                .iter()
+                .find(|k| k.name == *name)
+                .ok_or_else(|| DseError::UnknownKernel(name.clone()))?;
+            kernel.check_n(self.n).map_err(DseError::BadSize)?;
         }
         for &d in &self.dims {
             FabricGeometry::try_new(d, d)?;
@@ -874,17 +899,23 @@ fn mark_pareto(records: &mut [DseRecord]) {
 }
 
 /// Runs the sweep: enumerate, estimate, prune, simulate survivors
-/// locally through the parallel harness ([`run_kernel`] per point), mark
-/// the Pareto front.
+/// locally through the parallel harness, mark the Pareto front.
+///
+/// Points run through one [`LegMemo`] for the whole sweep, so each
+/// distinct scalar leg (every baseline leg, and the DySER leg of a point
+/// that maps no region) simulates once and is replayed for every other
+/// geometry, FU mix and FIFO depth. The report is byte-identical to
+/// simulating every leg ([`run_dse_with`] over [`dyser_core::run_kernel`]).
 ///
 /// # Errors
 ///
 /// Returns a typed [`DseError`] for invalid plans, compile failures, or
 /// survivor simulation failures.
 pub fn run_dse(plan: &DsePlan) -> Result<DseOutcome, DseError> {
+    let legs = LegMemo::default();
     run_dse_with(plan, |kernel, point, rc| {
         let case = kernel.case(plan.n, SEED);
-        let result = run_kernel(&case, rc).map_err(|e| format!("{point}: {e}"))?;
+        let result = legs.run_kernel(&case, rc).map_err(|e| format!("{point}: {e}"))?;
         Ok(point_sim(&result, rc.system.geometry.fu_count()))
     })
 }
@@ -1067,6 +1098,63 @@ mod tests {
         let mut plan = tiny_plan();
         plan.unrolls = vec![1, MAX_UNROLL];
         assert_eq!(plan.validate(), Ok(()));
+        // A repeated value would simulate the same point more than once.
+        let mut plan = tiny_plan();
+        plan.dims = vec![2, 2];
+        assert_eq!(
+            plan.validate(),
+            Err(DseError::DuplicateValue { axis: "dims", value: "2".into() })
+        );
+        let mut plan = tiny_plan();
+        plan.mems = vec![MemPreset::Tiny, MemPreset::Default, MemPreset::Tiny];
+        assert_eq!(
+            plan.validate(),
+            Err(DseError::DuplicateValue { axis: "mems", value: "tiny".into() })
+        );
+        let mut plan = tiny_plan();
+        plan.kernels = vec!["poly6".into(), "poly6".into()];
+        assert!(matches!(plan.validate(), Err(DseError::DuplicateValue { axis: "kernels", .. })));
+        // Problem sizes a kernel cannot hold, checked before any case is
+        // built: `stencil3` needs an interior element, `mm` an n x n
+        // matrix inside one buffer.
+        for (kernel, n) in [("stencil3", 1), ("scan_poly", 0), ("mm", 363), ("saxpy", 140_000)] {
+            let mut plan = tiny_plan();
+            plan.kernels = vec![kernel.into()];
+            plan.n = n;
+            assert!(
+                matches!(plan.validate(), Err(DseError::BadSize(ref e)) if e.kernel == kernel),
+                "{kernel} at n = {n}: {:?}",
+                plan.validate()
+            );
+        }
+    }
+
+    /// One memo per sweep replays scalar legs without changing a byte:
+    /// `run_dse` must equal simulating every leg afresh, on a plan whose
+    /// scalar legs repeat across geometries, memory presets and unroll
+    /// factors, and where some points map no region.
+    #[test]
+    fn memoised_sweep_matches_fresh_legs() {
+        let plan = DsePlan {
+            kernels: vec!["poly6".into()],
+            dims: vec![2, 4],
+            mixes: vec![FuMix::Default],
+            fifos: vec![4],
+            mems: vec![MemPreset::Default, MemPreset::Tiny],
+            unrolls: vec![1, 2],
+            n: 24,
+            prune: false,
+            backend: Some(Backend::Compiled),
+        };
+        let fresh = run_dse_with(&plan, |kernel, point, rc| {
+            let result = dyser_core::run_kernel(&kernel.case(plan.n, SEED), rc)
+                .map_err(|e| format!("{point}: {e}"))?;
+            Ok(point_sim(&result, rc.system.geometry.fu_count()))
+        })
+        .expect("fresh sweep");
+        let unmapped = fresh.records.iter().filter(|r| !r.est.accelerated).count();
+        assert!(unmapped > 0, "the plan must have unmapped survivors");
+        assert_eq!(run_dse(&plan).expect("memoised sweep").to_json(), fresh.to_json());
     }
 
     #[test]

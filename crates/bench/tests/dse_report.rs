@@ -57,3 +57,31 @@ fn out_of_range_unrolls_exit_2_before_the_sweep() {
         assert!(out.stdout.is_empty(), "--unrolls {unroll} printed a report");
     }
 }
+
+/// `repro dse` refuses what it cannot sweep before anything compiles:
+/// exit code 2, one line on stderr naming the problem, and no report.
+#[test]
+fn unsweepable_plans_exit_2_before_the_sweep() {
+    let point = ["--mixes", "default", "--fifos", "4", "--mems", "default", "--unrolls", "1"];
+    for (args, message) in [
+        // `stencil3` needs an interior element; its case builder panicked.
+        (["--kernels", "stencil3", "--dims", "4", "--n", "1"], "kernel `stencil3` needs n in 3..="),
+        // A repeated value simulated the same point four times.
+        (
+            ["--kernels", "saxpy", "--dims", "2,2", "--n", "16"],
+            "axis `dims` lists 2 more than once",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("dse")
+            .args(args)
+            .args(point)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}

@@ -16,6 +16,8 @@ use std::thread;
 use dyser_compiler::{
     compile, CompileError, CompiledProgram, CompilerOptions, Function, Program, RegionReport,
 };
+use dyser_isa::InstrClass;
+use dyser_mem::MemConfig;
 use dyser_trace::TraceRun;
 
 use crate::system::{RunStats, SpeedStats, SysError, System, SystemConfig};
@@ -40,7 +42,7 @@ pub struct KernelCase {
 ///
 /// All backends produce bit-identical [`RunStats`]; they differ only in
 /// how much simulator work they spend per simulated cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Fetch, decode, and execute every issue, fast-forwarding counted
     /// stalls (`System::run`).
@@ -266,6 +268,12 @@ pub fn backend_override() -> Option<Backend> {
     }
 }
 
+/// The engine a non-stepped run under `config` uses: the process-wide
+/// override when one is set, else the job's own backend.
+fn engine(config: &RunConfig) -> Backend {
+    backend_override().unwrap_or(config.backend)
+}
+
 /// Ring-buffer capacity for event tracing in [`run_program`] and
 /// [`run_whole_program`]; zero (the default) disables tracing entirely.
 static TRACE_CAP: AtomicUsize = AtomicUsize::new(0);
@@ -337,7 +345,7 @@ fn run_loaded(
     let run = if config.stepped {
         sys.run_stepped(config.max_cycles)
     } else {
-        match backend_override().unwrap_or(config.backend) {
+        match engine(config) {
             Backend::Interpreted => sys.run(config.max_cycles),
             Backend::Compiled => sys.run_compiled(config.max_cycles),
         }
@@ -503,27 +511,163 @@ pub fn run_kernel_traced(
     Ok((compiled, legs))
 }
 
-/// Compiles and runs `case` both ways ([`run_kernel_traced`]); verifies
-/// both runs. Tracing follows the process-wide capacity and both traces
-/// land in the sink, like [`run_program`].
+/// Compiles and runs `case` both ways, baseline first, on the calling
+/// thread; verifies both runs. Each leg is a [`run_program`] call, so
+/// tracing follows the process-wide capacity and each trace lands in the
+/// sink.
 ///
 /// # Errors
 ///
 /// As [`run_kernel_traced`].
 pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult, HarnessError> {
-    let (compiled, [base, dyser]) = run_kernel_traced(case, config, trace_capacity())?;
-    sink_trace(base.trace);
-    sink_trace(dyser.trace);
+    run_kernel_with(case, config, |which, program| {
+        run_program(which, program, &case.args, &case.init, &case.expected, config)
+    })
+}
+
+/// Compiles `case`, runs its baseline leg and then its DySER leg through
+/// `leg`, and assembles the [`KernelResult`]: the code [`run_kernel`] and
+/// [`LegMemo::run_kernel`] share.
+fn run_kernel_with(
+    case: &KernelCase,
+    config: &RunConfig,
+    mut leg: impl FnMut(&'static str, &Program) -> Result<RunStats, HarnessError>,
+) -> Result<KernelResult, HarnessError> {
+    let compiled = compile_cached(&case.function, &config.compiler)?;
     let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
+    let base = leg("baseline", baseline)?;
+    let dyser = leg("dyser", accelerated)?;
     Ok(KernelResult {
         name: case.name.clone(),
-        speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
+        speedup: base.cycles as f64 / dyser.cycles.max(1) as f64,
         accelerated_any: *accelerated_any,
         regions: regions.clone(),
         code_sizes: (baseline.len(), accelerated.len()),
-        baseline: base.stats,
-        dyser: dyser.stats,
+        baseline: base,
+        dyser,
     })
+}
+
+/// Whether `program` can never touch the fabric: it loads no fabric
+/// configuration and no word of its code decodes to a DySER-class
+/// instruction. Such a leg runs the same on every geometry, FU mix and
+/// FIFO depth.
+fn is_scalar(program: &Program) -> bool {
+    program.configs.is_empty()
+        && program
+            .code
+            .iter()
+            .all(|&word| dyser_isa::decode(word).is_ok_and(|i| i.class() != InstrClass::Dyser))
+}
+
+/// Everything a scalar leg's run reads. Fabric geometry, FU kinds and
+/// FIFO depth are absent on purpose (see [`is_scalar`]); whether a
+/// fabric is attached stays, since an attached fabric counts its idle
+/// ticks.
+#[derive(PartialEq, Eq, Hash)]
+struct LegKey {
+    code: Vec<u32>,
+    entry: u64,
+    pool: Vec<u64>,
+    args: Vec<u64>,
+    init: Vec<(u64, Vec<u64>)>,
+    expected: Vec<(u64, Vec<u64>)>,
+    mem: MemConfig,
+    has_fabric: bool,
+    max_cycles: u64,
+    stepped: bool,
+    engine: Backend,
+}
+
+/// One leg-memo entry; its lock is held while the leg simulates, like a
+/// [`compile_cached`] slot.
+type LegSlot = Arc<Mutex<Option<RunStats>>>;
+
+/// A memo of scalar legs for one sweep: each distinct scalar leg
+/// simulates once and is replayed for every other fabric geometry, FU
+/// mix and FIFO depth.
+///
+/// [`LegMemo::run_kernel`] behaves like [`run_kernel`]. A leg is memoised
+/// when its program is scalar (no fabric configuration, no DySER-class
+/// instruction) and no trace is armed, since a replay records no events.
+/// It is keyed on everything else its run reads: the program's code,
+/// entry and pool, the case's args, init and expected outputs, the
+/// memory hierarchy, whether a fabric is attached, the cycle cap, and
+/// the engine. Only verified runs are stored, so a hit replays stats
+/// that already passed verification against the same expected outputs.
+/// Legs that use the fabric always simulate.
+///
+/// The memo is a value, not process state: its scope is whatever owns
+/// it (`run_dse` makes one per sweep), so runs outside that scope still
+/// simulate every leg.
+#[derive(Default)]
+pub struct LegMemo {
+    slots: Mutex<HashMap<LegKey, LegSlot>>,
+}
+
+impl LegMemo {
+    /// Compiles and runs `case` both ways like [`run_kernel`], replaying
+    /// each scalar leg this memo has already verified.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_kernel`]; failed legs are not stored, so the next call
+    /// with the same key runs again.
+    pub fn run_kernel(
+        &self,
+        case: &KernelCase,
+        config: &RunConfig,
+    ) -> Result<KernelResult, HarnessError> {
+        run_kernel_with(case, config, |which, program| self.leg(which, program, case, config))
+    }
+
+    /// How many verified scalar legs the memo holds.
+    #[cfg(test)]
+    fn stored_legs(&self) -> usize {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        slots
+            .values()
+            .filter(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).is_some())
+            .count()
+    }
+
+    fn leg(
+        &self,
+        which: &'static str,
+        program: &Program,
+        case: &KernelCase,
+        config: &RunConfig,
+    ) -> Result<RunStats, HarnessError> {
+        let run = || run_program(which, program, &case.args, &case.init, &case.expected, config);
+        if trace_capacity() > 0 || !is_scalar(program) {
+            return run();
+        }
+        let key = LegKey {
+            code: program.code.clone(),
+            entry: program.entry,
+            pool: program.pool.clone(),
+            args: case.args.clone(),
+            init: case.init.clone(),
+            expected: case.expected.clone(),
+            mem: config.system.mem,
+            has_fabric: config.system.has_fabric,
+            max_cycles: config.max_cycles,
+            stepped: config.stepped,
+            engine: engine(config),
+        };
+        // Recovering from poison is sound for the same reason as in
+        // `compile_cached`: a slot holds `None` or verified stats.
+        let slot = Arc::clone(
+            self.slots.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+        );
+        let mut entry = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = entry.as_ref() {
+            return Ok(hit.clone());
+        }
+        let stats = run()?;
+        *entry = Some(stats.clone());
+        Ok(stats)
+    }
 }
 
 /// One queued kernel experiment: the case plus the configuration to run
@@ -817,5 +961,106 @@ mod tests {
         rc.compiler.codegen.lag_stores = false;
         let r = run_kernel(&case(23), &rc).unwrap();
         assert!(r.accelerated_any);
+    }
+
+    /// A run configuration for `rows x cols`, with a universal grid when
+    /// `universal` is set, and the given FIFO depth.
+    fn fabric(rows: usize, cols: usize, universal: bool, fifo_depth: usize) -> RunConfig {
+        let mut rc = RunConfig::default();
+        rc.set_geometry(dyser_fabric::FabricGeometry::new(rows, cols));
+        if universal {
+            rc.set_universal_fus();
+        }
+        rc.system.fifo_depth = fifo_depth;
+        rc
+    }
+
+    /// Every word of `case`'s buffers and `program`'s code and pool.
+    fn memory_image(sys: &System, program: &Program, case: &KernelCase) -> Vec<u64> {
+        let mut regions: Vec<(u64, usize)> = vec![
+            (program.entry, program.code.len().div_ceil(2)),
+            (dyser_compiler::POOL_BASE, program.pool.len()),
+        ];
+        regions.extend(case.init.iter().chain(&case.expected).map(|(a, w)| (*a, w.len())));
+        let mut image = vec![sys.memory().resident_pages() as u64];
+        for (addr, words) in regions {
+            image.extend(sys.memory().read_u64_slice(addr, words));
+        }
+        image
+    }
+
+    #[test]
+    fn scalar_program_runs_the_same_on_every_fabric() {
+        let case = case(29);
+        let compiled = compile_cached(&case.function, &RunConfig::default().compiler).unwrap();
+        let program = &compiled.baseline;
+        assert!(is_scalar(program) && !is_scalar(&compiled.accelerated));
+        let runs: Vec<(RunStats, Vec<u64>)> =
+            [fabric(8, 8, false, 4), fabric(2, 6, true, 1), fabric(16, 3, false, 8)]
+                .iter()
+                .map(|rc| {
+                    let mut sys = System::new(rc.system.clone());
+                    sys.load_program(program).unwrap();
+                    for (addr, words) in &case.init {
+                        sys.memory_mut().write_u64_slice(*addr, words);
+                    }
+                    sys.set_args(&case.args);
+                    let stats = sys.run(rc.max_cycles).unwrap();
+                    (stats, memory_image(&sys, program, &case))
+                })
+                .collect();
+        assert!(runs[0].0.fabric.cycles > 0, "an attached fabric ticks");
+        for run in &runs[1..] {
+            assert_eq!(run.0, runs[0].0, "stats differ across fabrics");
+            assert_eq!(run.1, runs[0].1, "memory images differ across fabrics");
+        }
+    }
+
+    #[test]
+    fn memo_hits_equal_fresh_runs_for_every_key_class() {
+        let case = case(31);
+        let check = |memo: &LegMemo, rc: &RunConfig| {
+            let fresh = run_kernel(&case, rc).unwrap();
+            let replayed = memo.run_kernel(&case, rc).unwrap();
+            assert_eq!(replayed.baseline, fresh.baseline, "baseline leg");
+            assert_eq!(replayed.dyser, fresh.dyser, "dyser leg");
+            assert_eq!(replayed.speedup.to_bits(), fresh.speedup.to_bits());
+            fresh
+        };
+
+        // The scalar baseline leg simulates once, then replays on every
+        // geometry, FU mix and FIFO depth. The DySER legs map regions,
+        // use the fabric, and are never stored.
+        let memo = LegMemo::default();
+        for rc in [fabric(8, 8, false, 4), fabric(4, 4, true, 1), fabric(6, 8, false, 8)] {
+            assert!(check(&memo, &rc).accelerated_any);
+            assert_eq!(memo.stored_legs(), 1);
+        }
+        let again = check(&memo, &fabric(8, 8, false, 4));
+        assert!(again.dyser.fabric.fu_fires() > 0, "the fabric leg simulated");
+        assert_eq!(memo.stored_legs(), 1, "fabric legs are never stored");
+
+        // A DySER leg that maps no region is the scalar program: it hits
+        // the baseline leg's key.
+        let memo = LegMemo::default();
+        let mut unmapped = fabric(4, 4, false, 2);
+        unmapped.compiler.region.min_compute_ops = usize::MAX;
+        assert!(!check(&memo, &unmapped).accelerated_any);
+        assert_eq!(memo.stored_legs(), 1, "both legs share one key");
+
+        // The memory hierarchy is part of the key.
+        unmapped.system.mem = dyser_mem::MemConfig::tiny();
+        check(&memo, &unmapped);
+        assert_eq!(memo.stored_legs(), 2);
+
+        // A failed leg is not stored, so it fails again.
+        let memo = LegMemo::default();
+        let mut starved = fabric(8, 8, false, 4);
+        starved.max_cycles = 10;
+        for _ in 0..2 {
+            let err = memo.run_kernel(&case, &starved).unwrap_err();
+            assert!(matches!(err, HarnessError::Run { which: "baseline", .. }), "{err}");
+        }
+        assert_eq!(memo.stored_legs(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! [`crate::Hierarchy`] turns those outcomes into latencies.
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Number of sets (must be a power of two).
     pub sets: usize,

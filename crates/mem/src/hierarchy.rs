@@ -19,7 +19,7 @@ use dyser_trace::{detail, EventKind, TraceBuffer, TraceEvent};
 /// lines, a 256 KiB 8-way unified L2 at 3 cycles, and ~8-cycle DRAM —
 /// DDR latency measured in 20 ns core cycles is small, which is exactly
 /// why the prototype's speedups are not memory-bound (see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemConfig {
     /// Instruction L1.
     pub l1i: CacheConfig,

@@ -41,12 +41,11 @@ use dyser_bench::serve::{
 use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
 use dyser_compiler::ir::parser::parse_module;
 use dyser_compiler::CompilerOptions;
-use dyser_core::{
-    run_kernel_traced, set_backend_override, Backend, HarnessError, KernelCase, RunConfig,
-};
+use dyser_core::{run_kernel_traced, set_backend_override, Backend, KernelCase, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_sparc::CycleBucket;
 use dyser_trace::{chrome_trace_json, TraceRun};
+use dyser_workloads::programs::MAX_N as MAX_PROGRAM_N;
 use dyser_workloads::suite;
 
 /// Per-component ring-buffer capacity for jobs that request a trace —
@@ -229,10 +228,11 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             let Some(kernel) = suite().into_iter().find(|k| k.name == name) else {
                 return Err(JobError::UnknownKernel(name.clone()));
             };
+            let n = n.unwrap_or(kernel.default_n);
+            kernel.check_n(n).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
             let mut rc = build_run_config(run, system, max_cycles_cap)?;
             rc.compiler = kernel.compiler_options(rc.system.geometry);
-            let case = kernel.case(n.unwrap_or(kernel.default_n), SEED);
-            gated(None, || dual_run(&case, &rc, run.trace))?
+            gated(None, || dual_run(&kernel.case(n, SEED), &rc, run.trace))?
         }
         JobRequest::Ir { text, function, args, init, expected, run, system } => {
             let module = parse_module(text)
@@ -262,23 +262,26 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 return Err(JobError::UnknownKernel(name.clone()));
             };
             let n = n.unwrap_or(PROGRAM_N);
-            if n < 8 || n % 4 != 0 {
+            if n < 8 || n % 4 != 0 || n > MAX_PROGRAM_N {
                 return Err(JobError::InvalidRequest(format!(
-                    "program `n` must be a multiple of 4 and at least 8, got {n}"
+                    "program `n` must be a multiple of 4 in 8..={MAX_PROGRAM_N}, got {n}"
                 )));
             }
             let mut rc = build_run_config(run, &SystemSpec::default(), max_cycles_cap)?;
             rc.system.geometry = FabricGeometry::new(8, 8);
-            let case = build(rc.system.geometry, n, SEED)
-                .ok_or_else(|| {
-                    JobError::InvalidConfig(format!("fabric too small for program `{name}`"))
-                })?;
             let outcome = gated(None, || {
-                let base = dyser_core::run_whole_program("baseline", &case.baseline, &case, &rc)?;
-                let dyser = dyser_core::run_whole_program("dyser", &case.accelerated, &case, &rc)?;
-                Ok::<_, HarnessError>((base, dyser))
+                let Some(case) = build(rc.system.geometry, n, SEED) else {
+                    return Err(JobError::InvalidConfig(format!(
+                        "fabric too small for program `{name}`"
+                    )));
+                };
+                let legs = |which, program| {
+                    dyser_core::run_whole_program(which, program, &case, &rc)
+                        .map_err(|e| JobError::from_harness(&e))
+                };
+                Ok((legs("baseline", &case.baseline)?, legs("dyser", &case.accelerated)?))
             })?;
-            let (base, dyser) = outcome.map_err(|e| JobError::from_harness(&e))?;
+            let (base, dyser) = outcome?;
             Ok(JobResult::Program {
                 name: name.clone(),
                 baseline_cycles: base.stats.cycles,
@@ -294,6 +297,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             };
             let mem = MemPreset::parse(mem).map_err(JobError::InvalidRequest)?;
             check_unroll(*unroll).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
+            k.check_n(*n).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
             let point = DsePoint {
                 kernel: kernel.clone(),
                 rows: *rows,
@@ -307,8 +311,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 .run_config(&k, run.backend)
                 .map_err(|e| JobError::InvalidConfig(e.to_string()))?;
             rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
-            let case = k.case(*n, SEED);
-            let result = gated(None, || dyser_core::run_kernel(&case, &rc))?
+            let result = gated(None, || dyser_core::run_kernel(&k.case(*n, SEED), &rc))?
                 .map_err(|e| JobError::from_harness(&e))?;
             let sim = point_sim(&result, rc.system.geometry.fu_count());
             Ok(JobResult::DsePoint {

@@ -645,3 +645,93 @@ fn queued_dse_point_jobs_stay_bit_identical() {
         }
     }
 }
+
+// ------------------------------------------------------- problem sizes
+
+/// A kernel job of size `n` on the default system.
+fn kernel_job(name: &str, n: usize) -> JobRequest {
+    JobRequest::Kernel {
+        name: name.into(),
+        n: Some(n),
+        run: RunSpec::default(),
+        system: SystemSpec::default(),
+    }
+}
+
+/// Expects `job` to be refused as `invalid-request` naming `what`.
+fn assert_size_refused(job: &JobRequest, what: &str) {
+    match execute_job(job, 1_000_000) {
+        Err(JobError::InvalidRequest(m)) => assert!(m.contains(what), "{job:?}: {m}"),
+        other => panic!("{job:?}: expected invalid-request, got {other:?}"),
+    }
+}
+
+/// `stencil3` needs one interior element: its case builder used to
+/// panic at `n = 1`, outside the shard's panic guard.
+#[test]
+fn stencil3_below_its_minimum_is_refused() {
+    assert_size_refused(&kernel_job("stencil3", 1), "stencil3");
+}
+
+/// `scan_poly` and `find_first` used to panic building an empty case.
+#[test]
+fn empty_scan_and_search_cases_are_refused() {
+    assert_size_refused(&kernel_job("scan_poly", 0), "scan_poly");
+    assert_size_refused(&kernel_job("find_first", 0), "find_first");
+}
+
+/// A size whose inputs cannot be allocated used to abort the daemon.
+#[test]
+fn unallocatable_saxpy_is_refused() {
+    assert_size_refused(&kernel_job("saxpy", 100_000_000_000_000), "saxpy");
+}
+
+/// `saxpy` past the 1 MiB buffer spacing used to overlap its input
+/// buffers and report a false `mismatch`.
+#[test]
+fn saxpy_past_its_buffers_is_refused() {
+    assert_size_refused(&kernel_job("saxpy", 140_000), "saxpy");
+    let fits = dyser_workloads::BUF_WORDS;
+    let dse_point = JobRequest::DsePoint {
+        kernel: "saxpy".into(),
+        n: fits + 1,
+        rows: 2,
+        cols: 2,
+        universal: false,
+        fifo_depth: 2,
+        mem: "default".into(),
+        unroll: 1,
+        run: RunSpec::default(),
+    };
+    assert_size_refused(&dse_point, "saxpy");
+}
+
+/// `p1` past one `read` of stdin used to report a false stdout
+/// `mismatch`; a size it cannot allocate used to abort the daemon.
+#[test]
+fn programs_past_one_read_are_refused() {
+    for n in [16_384, 100_000_000_000] {
+        let job = JobRequest::Program { name: "p1".into(), n: Some(n), run: RunSpec::default() };
+        assert_size_refused(&job, "8192");
+    }
+}
+
+/// Two jobs that used to panic their shards leave a 2-shard daemon
+/// serving jobs and `/health`.
+#[test]
+fn refused_sizes_leave_every_shard_serving() {
+    let _g = lock();
+    let url = spawn_server(2);
+    for _ in 0..2 {
+        match submit(&url, &kernel_job("stencil3", 1)) {
+            Err(JobError::InvalidRequest(m)) => assert!(m.contains("stencil3"), "{m}"),
+            other => panic!("expected invalid-request, got {other:?}"),
+        }
+    }
+    match submit(&url, &kernel_job("stencil3", 16)) {
+        Ok(JobResult::Run { .. }) => {}
+        other => panic!("a later job got no run: {other:?}"),
+    }
+    let health = dyser_bench::serve::health(&url).expect("health answers");
+    assert!(health.contains("\"ok\": true"), "health reply: {health}");
+}

@@ -1,5 +1,8 @@
 //! The kernel suite: builders, input generators, reference outputs.
 
+use std::fmt;
+use std::ops::RangeInclusive;
+
 use dyser_compiler::{
     BinOp, CmpOp, CompilerOptions, Function, FunctionBuilder, Type, UnOp,
 };
@@ -7,7 +10,7 @@ use dyser_core::KernelCase;
 use dyser_fabric::FabricGeometry;
 use dyser_rng::Rng64;
 
-use crate::{BUF_A, BUF_B, BUF_C, BUF_D};
+use crate::{BUF_A, BUF_B, BUF_C, BUF_D, BUF_WORDS};
 
 /// Workload category, mirroring the paper's grouping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,6 +63,9 @@ pub struct Kernel {
     pub lag_stores: bool,
     /// Whether the adaptive exit-condition offload applies (E8).
     pub offload_exit: bool,
+    /// Problem sizes a case can hold: the case builder's minimum up to
+    /// the largest `n` whose buffers fit [`BUF_WORDS`].
+    pub sizes: RangeInclusive<usize>,
     build: fn() -> Function,
     case_data: fn(n: usize, seed: u64) -> CaseData,
 }
@@ -79,7 +85,26 @@ impl Kernel {
         (self.build)()
     }
 
+    /// Checks `n` against [`Kernel::sizes`]; callers with untrusted sizes
+    /// check before [`Kernel::case`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SizeError`] naming the kernel and its size range.
+    pub fn check_n(&self, n: usize) -> Result<(), SizeError> {
+        if self.sizes.contains(&n) {
+            Ok(())
+        } else {
+            Err(SizeError { kernel: self.name, n, sizes: self.sizes.clone() })
+        }
+    }
+
     /// Builds a runnable case of size `n` with deterministic inputs.
+    ///
+    /// # Panics
+    ///
+    /// May panic, or build a case whose buffers overlap, when `n` is
+    /// outside [`Kernel::sizes`] (see [`Kernel::check_n`]).
     pub fn case(&self, n: usize, seed: u64) -> KernelCase {
         let data = (self.case_data)(n, seed);
         KernelCase {
@@ -103,6 +128,35 @@ impl Kernel {
         o
     }
 }
+
+/// A problem size outside a kernel's [`Kernel::sizes`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SizeError {
+    /// The kernel's name.
+    pub kernel: &'static str,
+    /// The rejected size.
+    pub n: usize,
+    /// The sizes the kernel can hold.
+    pub sizes: RangeInclusive<usize>,
+}
+
+impl fmt::Display for SizeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "kernel `{}` needs n in {}..={}, got {}",
+            self.kernel,
+            self.sizes.start(),
+            self.sizes.end(),
+            self.n
+        )
+    }
+}
+
+impl std::error::Error for SizeError {}
+
+/// Every buffer holds `n` words (at most [`BUF_WORDS`]).
+const ONE_WORD_PER_ELEMENT: RangeInclusive<usize> = 1..=BUF_WORDS;
 
 fn f64s(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -920,6 +974,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_poly6,
             case_data: case_poly6,
         },
@@ -931,6 +986,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_dist,
             case_data: case_dist,
         },
@@ -942,6 +998,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_hashmix,
             case_data: case_hashmix,
         },
@@ -953,6 +1010,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_vecadd,
             case_data: case_vecadd,
         },
@@ -964,6 +1022,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_saxpy,
             case_data: case_saxpy,
         },
@@ -975,6 +1034,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_dot,
             case_data: case_dot,
         },
@@ -986,6 +1046,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: 1..=BUF_WORDS.isqrt(),
             build: build_mm,
             case_data: case_mm,
         },
@@ -997,6 +1058,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: 3..=BUF_WORDS,
             build: build_stencil3,
             case_data: case_stencil3,
         },
@@ -1008,6 +1070,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: 1..=BUF_WORDS - 3,
             build: build_fir4,
             case_data: case_fir4,
         },
@@ -1019,6 +1082,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_gather,
             case_data: case_gather,
         },
@@ -1030,6 +1094,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_relu_clamp,
             case_data: case_relu_clamp,
         },
@@ -1041,6 +1106,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_absmax,
             case_data: case_absmax,
         },
@@ -1052,6 +1118,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 1,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_find_first,
             case_data: case_find_first,
         },
@@ -1063,6 +1130,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 1,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_cond_store,
             case_data: case_cond_store,
         },
@@ -1074,6 +1142,7 @@ pub fn suite() -> Vec<Kernel> {
             unroll: 1,
             lag_stores: true,
             offload_exit: true,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_scan_poly,
             case_data: case_scan_poly,
         },
@@ -1238,6 +1307,7 @@ pub fn program_inner_kernels() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_p1_match,
             case_data: case_p1_match,
         },
@@ -1249,6 +1319,7 @@ pub fn program_inner_kernels() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: ONE_WORD_PER_ELEMENT,
             build: build_p2_hash,
             case_data: case_p2_hash,
         },
@@ -1260,6 +1331,7 @@ pub fn program_inner_kernels() -> Vec<Kernel> {
             unroll: 4,
             lag_stores: true,
             offload_exit: false,
+            sizes: 3..=BUF_WORDS,
             build: build_p3_stencil,
             case_data: case_p3_stencil,
         },
@@ -1361,5 +1433,25 @@ mod tests {
         assert_eq!(c1.expected, c2.expected);
         let c3 = k.case(16, 43);
         assert_ne!(c1.init, c3.init, "different seeds, different data");
+    }
+
+    /// Each kernel's sizes are what its case builder and the buffer
+    /// layout allow: the smallest builds a case that verifies, and at
+    /// the largest every region stays inside its own buffer.
+    #[test]
+    fn size_ranges_fit_the_builders_and_the_buffer_layout() {
+        let buffer_bytes = 8 * BUF_WORDS as u64;
+        for k in suite().into_iter().chain(program_inner_kernels()) {
+            let (min, max) = (*k.sizes.start(), *k.sizes.end());
+            assert!(k.check_n(min - 1).is_err(), "{} below its range", k.name);
+            assert!(k.check_n(max + 1).is_err(), "{} above its range", k.name);
+            check_against_interpreter(&k, min);
+            let case = k.case(max, 7);
+            for (addr, words) in case.init.iter().chain(&case.expected) {
+                let buffer_end = BUF_A + ((addr - BUF_A) / buffer_bytes + 1) * buffer_bytes;
+                let end = addr + 8 * words.len() as u64;
+                assert!(end <= buffer_end, "{} at n = {max}: {addr:#x}..{end:#x}", k.name);
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@ pub mod manual;
 pub mod programs;
 pub mod shapes;
 
-pub use kernels::{program_inner_kernels, suite, Category, Kernel};
+pub use kernels::{program_inner_kernels, suite, Category, Kernel, SizeError};
 pub use shapes::ShapeCase;
 
 /// Base address of the first data buffer.
@@ -37,3 +37,7 @@ pub const BUF_B: u64 = 0x30_0000;
 pub const BUF_C: u64 = 0x40_0000;
 /// Base address of the auxiliary buffer.
 pub const BUF_D: u64 = 0x50_0000;
+/// Words each data buffer holds before the next one begins (the 1 MiB
+/// spacing of `BUF_A..BUF_D`). A case whose buffers outgrow it would
+/// overlap its neighbour.
+pub const BUF_WORDS: usize = ((BUF_B - BUF_A) / 8) as usize;

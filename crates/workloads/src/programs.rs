@@ -39,6 +39,11 @@ const SCRATCH_END: i16 = 0xE20;
 /// Read-buffer capacity passed to the `read` syscall.
 const READ_CAP: u64 = 65_536;
 
+/// The largest stdin size, in 8-byte words, a program reads whole: one
+/// `read` of `READ_CAP` bytes. A longer input is cut short, so its
+/// reference stdout cannot match.
+pub const MAX_N: usize = (READ_CAP / 8) as usize;
+
 /// Emits `rd = value` as `mov` plus shift/or chunks (any 64-bit value).
 fn set64(asm: &mut Assembler, rd: Reg, value: u64) {
     if value < 0x1000 {
