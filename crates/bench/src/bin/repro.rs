@@ -22,12 +22,11 @@
 use std::fmt::Display;
 use std::io::{self, Write};
 
+use dyser_bench::experiments::TRACE_EVENTS;
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
-use dyser_bench::{run_experiment, run_fuzz_cli, stats_attribution, Scale, EXPERIMENT_IDS};
-
-/// Per-component ring-buffer capacity in `--trace` mode. Big enough to
-/// keep a whole microbenchmark run; longer runs keep the newest events.
-const TRACE_EVENTS: usize = 65_536;
+use dyser_bench::{
+    run_experiment, run_fuzz_cli, stats_attribution, Scale, Session, EXPERIMENT_IDS,
+};
 
 /// Default campaign size for `repro fuzz` when `--cases` is absent.
 const FUZZ_CASES: u64 = 1000;
@@ -37,23 +36,34 @@ const FUZZ_CASES: u64 = 1000;
 const FUZZ_SEED: u64 = 0xD75E;
 
 /// Parses a `--flag value` pair out of `args`, removing both tokens.
-/// Exits with a usage error when the value is missing or unparsable.
-fn take_value<T>(args: &mut Vec<String>, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+/// Exits with a one-line usage error, the parser's own message, when the
+/// value is missing or the parser rejects it.
+fn take_value<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
     let i = args.iter().position(|a| a == flag)?;
-    let Some(v) = args.get(i + 1).and_then(|v| parse(v)) else {
-        eprintln!("{flag} requires a valid value");
-        std::process::exit(2);
-    };
-    args.drain(i..=i + 1);
-    Some(v)
+    let parsed = args.get(i + 1).map_or_else(|| Err("a value is required".into()), |v| parse(v));
+    match parsed {
+        Ok(v) => {
+            args.drain(i..=i + 1);
+            Some(v)
+        }
+        Err(e) => {
+            eprintln!("{flag}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Accepts `123` or `0x7b` seeds/counts.
-fn parse_u64(s: &str) -> Option<u64> {
+fn parse_u64(s: &str) -> Result<u64, String> {
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
+    .map_err(|e| format!("{s:?}: {e}"))
 }
 
 /// Writes `contents` to `path`, exiting with a typed [`JobError::Io`]
@@ -95,11 +105,11 @@ fn say(text: impl Display) {
 fn dse_main(mut args: Vec<String>) -> ! {
     use dyser_bench::dse::{self, DsePlan, FuMix, MemPreset, PointSim};
     let mut plan = DsePlan::default();
-    let parse_usizes = |v: &str| -> Option<Vec<usize>> {
-        v.split(',').map(|s| s.trim().parse::<usize>().ok()).collect()
+    let parse_usizes = |v: &str| -> Result<Vec<usize>, String> {
+        v.split(',').map(|s| s.trim().parse().map_err(|e| format!("{s:?}: {e}"))).collect()
     };
     if let Some(k) = take_value(&mut args, "--kernels", |v| {
-        Some(v.split(',').map(|s| s.trim().to_owned()).collect::<Vec<_>>())
+        Ok(v.split(',').map(|s| s.trim().to_owned()).collect::<Vec<_>>())
     }) {
         plan.kernels = k;
     }
@@ -113,28 +123,25 @@ fn dse_main(mut args: Vec<String>) -> ! {
         plan.unrolls = u;
     }
     if let Some(m) = take_value(&mut args, "--mems", |v| {
-        v.split(',')
-            .map(|s| MemPreset::parse(s.trim()).map_err(|e| eprintln!("{e}")).ok())
-            .collect::<Option<Vec<_>>>()
+        v.split(',').map(|s| MemPreset::parse(s.trim())).collect::<Result<Vec<_>, _>>()
     }) {
         plan.mems = m;
     }
     if let Some(m) = take_value(&mut args, "--mixes", |v| {
-        v.split(',')
-            .map(|s| FuMix::parse(s.trim()).map_err(|e| eprintln!("{e}")).ok())
-            .collect::<Option<Vec<_>>>()
+        v.split(',').map(|s| FuMix::parse(s.trim())).collect::<Result<Vec<_>, _>>()
     }) {
         plan.mixes = m;
     }
-    if let Some(n) = take_value(&mut args, "--n", |v| v.parse().ok().filter(|&n: &usize| n > 0)) {
+    if let Some(n) = take_value(&mut args, "--n", |v| match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{v:?} is not a positive size")),
+    }) {
         plan.n = n;
     }
-    if let Some(b) = take_value(&mut args, "--backend", |v| {
-        dyser_core::Backend::parse(v).map_err(|e| eprintln!("{e}")).ok()
-    }) {
+    if let Some(b) = take_value(&mut args, "--backend", dyser_core::Backend::parse) {
         plan.backend = Some(b);
     }
-    let serve_url = take_value(&mut args, "--serve", |v| Some(v.to_owned()));
+    let serve_url = take_value(&mut args, "--serve", |v| Ok(v.to_owned()));
     let csv = args.iter().any(|a| a == "--csv");
     if args.iter().any(|a| a == "--no-prune") {
         plan.prune = false;
@@ -225,27 +232,10 @@ fn main() {
     if args.first().map(String::as_str) == Some("dse") {
         dse_main(args.split_off(1));
     }
-    let backend = take_value(&mut args, "--backend", |v| {
-        dyser_core::Backend::parse(v)
-            .map_err(|e| eprintln!("{e}"))
-            .ok()
-    });
-    let serve_url = take_value(&mut args, "--serve", |v| Some(v.to_owned()));
-    if serve_url.is_none() {
-        if let Some(backend) = backend {
-            dyser_core::set_backend_override(Some(backend));
-        }
-    }
+    let backend = take_value(&mut args, "--backend", dyser_core::Backend::parse);
+    let serve_url = take_value(&mut args, "--serve", |v| Ok(v.to_owned()));
+    let trace_path = take_value(&mut args, "--trace", |v| Ok(v.to_owned()));
     let csv = args.iter().any(|a| a == "--csv");
-    let trace_path = args.iter().position(|a| a == "--trace").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("--trace requires an output path");
-            std::process::exit(2);
-        }
-        let path = args[i + 1].clone();
-        args.drain(i..=i + 1);
-        path
-    });
     args.retain(|a| a != "--csv");
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         eprintln!("unknown argument `{flag}`; valid: --csv --trace PATH --backend B --serve URL");
@@ -283,12 +273,17 @@ fn main() {
         }
         return;
     }
-    if trace_path.is_some() {
-        dyser_core::set_trace_capacity(TRACE_EVENTS);
-    }
+    let engine = backend.unwrap_or_default();
+    let mut session = match trace_path {
+        Some(_) => Session::traced(engine, TRACE_EVENTS),
+        None => Session::new(engine),
+    };
     for id in ids {
-        let table =
-            if id == "stats" { stats_attribution(Scale(1.0)) } else { run_experiment(id) };
+        let table = if id == "stats" {
+            stats_attribution(&mut session, Scale(1.0))
+        } else {
+            run_experiment(&mut session, id)
+        };
         if csv {
             say(table.to_csv());
         } else {
@@ -296,7 +291,7 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        let runs = dyser_core::take_traces();
+        let runs = session.into_traces();
         let events: usize = runs.iter().map(|r| r.events.len()).sum();
         let json = dyser_trace::chrome_trace_json(&runs);
         write_or_exit(&path, &json);

@@ -2,16 +2,16 @@
 //! table/figure of the evaluation (see `DESIGN.md` for the index).
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 use dyser_compiler::LoopShape;
 use dyser_core::{
-    backend_override, default_workers, parallel_map, run_kernel, run_kernel_traced, run_kernels,
-    run_program, sink_trace, trace_capacity, KernelJob, KernelResult, RunConfig, SpeedStats,
+    default_workers, parallel_map, run_kernel_traced, run_program_case_traced, run_program_traced,
+    Backend, HarnessError, KernelJob, KernelResult, RunArtifacts, RunConfig, RunStats, SpeedStats,
 };
 use dyser_energy::EnergyModel;
 use dyser_fabric::{FabricGeometry, FuKind, StructuralStats};
 use dyser_sparc::{CycleBucket, StallCause};
+use dyser_trace::TraceRun;
 use dyser_workloads::{manual, suite, Category, Kernel};
 
 use crate::table::ExpTable;
@@ -37,14 +37,97 @@ impl Scale {
     }
 }
 
+/// Per-component ring-buffer capacity of a traced run (`repro --trace`,
+/// a daemon job with `"trace": true`). Big enough to keep a whole
+/// microbenchmark run; longer runs keep the newest events.
+pub const TRACE_EVENTS: usize = 65_536;
+
+/// What one `repro` invocation or one daemon experiment job shares: the
+/// engine every run uses, the trace ring capacity and the traces recorded
+/// so far, and the results of the runs so far.
+///
+/// Several tables re-simulate the same (kernel, size, config) job — e3,
+/// e5 and e6 each sweep the suite e2 already ran — so a session pays for
+/// each distinct simulation once and later tables replay the stored
+/// [`KernelResult`]. The experiments are deterministic, so a replay is
+/// bit-identical to a re-run. A traced session stores and replays
+/// nothing, since a replay records no events; it records each run's
+/// trace in job order, labelled `<case> <leg>`.
+#[derive(Default)]
+pub struct Session {
+    /// The configuration every run starts from; it carries the engine.
+    base: RunConfig,
+    trace_capacity: usize,
+    traces: Vec<TraceRun>,
+    results: HashMap<String, KernelResult>,
+}
+
+impl Session {
+    /// An untraced session whose runs use `engine`.
+    #[must_use]
+    pub fn new(engine: Backend) -> Session {
+        let mut session = Session::default();
+        session.base.backend = engine;
+        session
+    }
+
+    /// A session whose runs use `engine` and each record a trace into
+    /// per-component rings of `capacity` events.
+    #[must_use]
+    pub fn traced(engine: Backend, capacity: usize) -> Session {
+        Session { trace_capacity: capacity, ..Session::new(engine) }
+    }
+
+    /// The configuration every run of the session starts from.
+    fn run_config(&self) -> RunConfig {
+        self.base.clone()
+    }
+
+    /// The traces recorded so far, in job order.
+    #[must_use]
+    pub fn into_traces(self) -> Vec<TraceRun> {
+        self.traces
+    }
+
+    /// The stored result for `key`; always `None` while tracing.
+    fn recall(&self, key: &str) -> Option<KernelResult> {
+        if self.trace_capacity > 0 {
+            return None;
+        }
+        self.results.get(key).cloned()
+    }
+
+    fn store(&mut self, key: String, result: &KernelResult) {
+        if self.trace_capacity == 0 {
+            self.results.insert(key, result.clone());
+        }
+    }
+
+    /// Records `case`'s traces, labelling each `<case> <leg>`.
+    fn record(&mut self, case: &str, traces: impl IntoIterator<Item = Option<TraceRun>>) {
+        for mut run in traces.into_iter().flatten() {
+            run.label = format!("{case} {}", run.label);
+            self.traces.push(run);
+        }
+    }
+
+    /// Records the trace of one program leg of `case` and returns its
+    /// statistics.
+    fn leg(&mut self, case: &str, run: Result<RunArtifacts, HarnessError>) -> RunStats {
+        let run = run.unwrap_or_else(|e| panic!("{case}: {e}"));
+        self.record(case, [run.trace]);
+        run.stats
+    }
+}
+
 /// Runs one experiment by id at full size.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id (callers use [`EXPERIMENT_IDS`]) or if any
 /// kernel fails verification — a failed experiment is a bug, not a result.
-pub fn run_experiment(id: &str) -> ExpTable {
-    run_experiment_scaled(id, Scale(1.0))
+pub fn run_experiment(session: &mut Session, id: &str) -> ExpTable {
+    run_experiment_scaled(session, id, Scale(1.0))
 }
 
 /// Runs one experiment at a given size scale.
@@ -52,57 +135,27 @@ pub fn run_experiment(id: &str) -> ExpTable {
 /// # Panics
 ///
 /// Panics on unknown ids or verification failures.
-pub fn run_experiment_scaled(id: &str, scale: Scale) -> ExpTable {
+pub fn run_experiment_scaled(session: &mut Session, id: &str, scale: Scale) -> ExpTable {
     match id {
         "e1" => e1_fabric_resources(),
-        "e2" => e2_micro_speedup(scale),
-        "e3" => e3_suite_speedup(scale),
-        "e4" => e4_manual_vs_compiler(scale),
-        "e5" => e5_instruction_reduction(scale),
-        "e6" => e6_energy(scale),
-        "e7" => e7_config_overhead(scale),
-        "e8" => e8_control_flow_shapes(scale),
-        "e9" => e9_fabric_sweep(scale),
-        "e10" => e10_integration_overhead(scale),
-        "p1" | "p2" | "p3" => program_experiment(id, scale),
-        "ablation" => ablation(scale),
+        "e2" => e2_micro_speedup(session, scale),
+        "e3" => e3_suite_speedup(session, scale),
+        "e4" => e4_manual_vs_compiler(session, scale),
+        "e5" => e5_instruction_reduction(session, scale),
+        "e6" => e6_energy(session, scale),
+        "e7" => e7_config_overhead(session, scale),
+        "e8" => e8_control_flow_shapes(session, scale),
+        "e9" => e9_fabric_sweep(session, scale),
+        "e10" => e10_integration_overhead(session, scale),
+        "p1" | "p2" | "p3" => program_experiment(session, id, scale),
+        "ablation" => ablation(session, scale),
         other => panic!("unknown experiment `{other}`"),
     }
 }
 
-/// Memoized per-kernel simulation results, shared by every experiment in
-/// one process. Several tables re-simulate the same (kernel, size,
-/// config) job — e3/e5/e6 each sweep the full suite identically — so one
-/// `repro all` invocation pays for each distinct simulation once and the
-/// later tables replay the cached [`KernelResult`]. The experiments are
-/// deterministic, so a replay is bit-identical to a re-run.
-static RESULT_MEMO: OnceLock<Mutex<HashMap<String, KernelResult>>> = OnceLock::new();
-
-fn result_memo() -> &'static Mutex<HashMap<String, KernelResult>> {
-    RESULT_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The memo key: everything that can change a run's outcome. The
-/// process-wide backend override is part of the effective configuration
-/// even though it never appears in the `RunConfig`.
+/// The result key: everything that can change a run's outcome.
 fn memo_key(kernel: &str, n: usize, config: &RunConfig) -> String {
-    format!("{kernel}|{n}|{:?}|{config:?}", backend_override())
-}
-
-/// Looks up a cached result. Tracing bypasses the memo entirely (a
-/// replayed result produces no trace events).
-fn memo_get(key: &str) -> Option<KernelResult> {
-    if trace_capacity() > 0 {
-        return None;
-    }
-    result_memo().lock().expect("result memo lock").get(key).cloned()
-}
-
-fn memo_put(key: String, result: &KernelResult) {
-    if trace_capacity() > 0 {
-        return;
-    }
-    result_memo().lock().expect("result memo lock").insert(key, result.clone());
+    format!("{kernel}|{n}|{config:?}")
 }
 
 fn kernel_by_name(name: &str) -> Kernel {
@@ -112,54 +165,70 @@ fn kernel_by_name(name: &str) -> Kernel {
         .unwrap_or_else(|| panic!("kernel `{name}` in suite"))
 }
 
-fn job_for(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelJob {
-    let mut config = RunConfig::default();
+fn job_for(
+    session: &Session,
+    k: &Kernel,
+    n: usize,
+    config_mut: impl FnOnce(&mut RunConfig),
+) -> KernelJob {
+    let mut config = session.run_config();
     config.compiler = k.compiler_options(config.system.geometry);
     config_mut(&mut config);
     (k.case(n, SEED), config)
 }
 
-fn run_one(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelResult {
-    let (case, config) = job_for(k, n, config_mut);
-    let key = memo_key(k.name, n, &config);
-    if let Some(r) = memo_get(&key) {
-        return r;
+/// Runs every `(n, job)` pair, fanned across the harness's worker pool,
+/// and returns the results in job order. A job the session has a result
+/// for replays it; fresh results are stored and their traces recorded in
+/// job order.
+fn run_jobs(session: &mut Session, jobs: &[(usize, KernelJob)]) -> Vec<KernelResult> {
+    let shared = &*session;
+    let outcomes = parallel_map(jobs, default_workers(), |(n, (case, config))| {
+        let key = memo_key(&case.name, *n, config);
+        match shared.recall(&key) {
+            Some(r) => Ok((r, None)),
+            None => run_kernel_traced(case, config, shared.trace_capacity)
+                .map(|(r, legs)| (r, Some((key, legs)))),
+        }
+    });
+    let mut results = Vec::with_capacity(jobs.len());
+    for ((n, (case, _)), outcome) in jobs.iter().zip(outcomes) {
+        let (r, fresh) = outcome.unwrap_or_else(|e| panic!("{} (n={n}): {e}", case.name));
+        if let Some((key, [base, dyser])) = fresh {
+            session.record(&case.name, [base.trace, dyser.trace]);
+            session.store(key, &r);
+        }
+        results.push(r);
     }
-    let r = run_kernel(&case, &config).unwrap_or_else(|e| panic!("{} (n={n}): {e}", k.name));
-    memo_put(key, &r);
-    r
+    results
 }
 
-/// Runs every kernel at its scaled default size, fanned across the
-/// harness's worker pool; results come back in input order. Jobs already
-/// in the result memo are replayed without simulating.
-fn run_suite(kernels: Vec<Kernel>, scale: Scale) -> Vec<(Kernel, usize, KernelResult)> {
-    let sizes: Vec<usize> = kernels.iter().map(|k| scale.n(k.default_n)).collect();
-    let jobs: Vec<KernelJob> =
-        kernels.iter().zip(&sizes).map(|(k, &n)| job_for(k, n, |_| {})).collect();
-    let keys: Vec<String> = kernels
+fn run_one(
+    session: &mut Session,
+    k: &Kernel,
+    n: usize,
+    config_mut: impl FnOnce(&mut RunConfig),
+) -> KernelResult {
+    let job = job_for(session, k, n, config_mut);
+    run_jobs(session, &[(n, job)]).pop().expect("one result")
+}
+
+/// Runs every kernel at its scaled default size; results come back in
+/// input order.
+fn run_suite(
+    session: &mut Session,
+    kernels: Vec<Kernel>,
+    scale: Scale,
+) -> Vec<(Kernel, usize, KernelResult)> {
+    let jobs: Vec<(usize, KernelJob)> = kernels
         .iter()
-        .zip(&sizes)
-        .zip(&jobs)
-        .map(|((k, &n), (_, config))| memo_key(k.name, n, config))
+        .map(|k| {
+            let n = scale.n(k.default_n);
+            (n, job_for(session, k, n, |_| {}))
+        })
         .collect();
-    let mut results: Vec<Option<KernelResult>> = keys.iter().map(|key| memo_get(key)).collect();
-    let missing: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
-    if !missing.is_empty() {
-        let fresh_jobs: Vec<KernelJob> = missing.iter().map(|&i| jobs[i].clone()).collect();
-        let fresh = run_kernels(&fresh_jobs, default_workers());
-        for (&i, r) in missing.iter().zip(fresh) {
-            let r = r.unwrap_or_else(|e| panic!("{} (n={}): {e}", kernels[i].name, sizes[i]));
-            memo_put(keys[i].clone(), &r);
-            results[i] = Some(r);
-        }
-    }
-    kernels
-        .into_iter()
-        .zip(sizes)
-        .zip(results)
-        .map(|((k, n), r)| (k, n, r.expect("every slot filled")))
-        .collect()
+    let results = run_jobs(session, &jobs);
+    kernels.into_iter().zip(jobs).zip(results).map(|((k, (n, _)), r)| (k, n, r)).collect()
 }
 
 /// The attribution bucket labels, used as CSV-only column headers on the
@@ -226,7 +295,7 @@ pub fn e1_fabric_resources() -> ExpTable {
 
 /// E2 (microbenchmark speedup figure): SPARC-DySER vs OpenSPARC cycles on
 /// the compute-intense microbenchmarks — the paper's headline 6x claim.
-pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
+pub fn e2_micro_speedup(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E2: microbenchmark speedup (SPARC-DySER vs OpenSPARC)",
         &["kernel", "n", "base cycles", "dyser cycles", "speedup"],
@@ -236,7 +305,7 @@ pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
     let mut peak: f64 = 0.0;
     let micro: Vec<Kernel> =
         suite().into_iter().filter(|k| k.category == Category::Micro).collect();
-    for (k, n, r) in run_suite(micro, scale) {
+    for (k, n, r) in run_suite(session, micro, scale) {
         speedups.push(r.speedup);
         peak = peak.max(r.speedup);
         let extras = attribution_extras(&r);
@@ -266,7 +335,7 @@ pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
 
 /// E3 (suite speedup figure): speedups across the full kernel suite,
 /// grouped by category — regular vs irregular.
-pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
+pub fn e3_suite_speedup(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E3: full-suite speedup by category",
         &["kernel", "category", "n", "speedup", "accelerated"],
@@ -277,7 +346,7 @@ pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
         (Category::Irregular, Vec::new()),
     ];
     t.csv_extra_headers(&bucket_labels());
-    for (k, n, r) in run_suite(suite(), scale) {
+    for (k, n, r) in run_suite(session, suite(), scale) {
         by_cat.iter_mut().find(|(c, _)| *c == k.category).expect("category").1.push(r.speedup);
         let extras = attribution_extras(&r);
         t.row_with_extras(
@@ -312,7 +381,7 @@ pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
 ///
 /// Panics if any kernel fails verification or any attribution check
 /// fails — an unbalanced account is a simulator bug, not a result.
-pub fn stats_attribution(scale: Scale) -> ExpTable {
+pub fn stats_attribution(session: &mut Session, scale: Scale) -> ExpTable {
     let mut headers: Vec<&str> = vec!["kernel", "run", "cycles"];
     headers.extend(bucket_labels());
     let mut t = ExpTable::new("Stats: cycle attribution by bucket (% of run cycles)", &headers);
@@ -320,15 +389,17 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
         bucket_labels().iter().map(|l| format!("{l}-cycles")).collect();
     t.csv_extra_headers(&raw_headers.iter().map(String::as_str).collect::<Vec<_>>());
     // A stats sweep diagnoses the simulation hot path, so it simulates
-    // every leg itself, outside the result memo (a replayed sweep would
-    // show an idle decode cache). Its cache notes sum the counters its
-    // own runs return, so other simulation in the process never leaks in.
+    // every leg itself, without the session's stored results (a replayed
+    // sweep would show an idle decode cache). Its cache notes sum the
+    // counters its own runs return, so other simulation in the process
+    // never leaks in.
     let kernels = suite();
     let sizes: Vec<usize> = kernels.iter().map(|k| scale.n(k.default_n)).collect();
     let jobs: Vec<KernelJob> =
-        kernels.iter().zip(&sizes).map(|(k, &n)| job_for(k, n, |_| {})).collect();
+        kernels.iter().zip(&sizes).map(|(k, &n)| job_for(session, k, n, |_| {})).collect();
+    let capacity = session.trace_capacity;
     let swept = parallel_map(&jobs, default_workers(), |(case, config)| {
-        run_kernel_traced(case, config, trace_capacity())
+        run_kernel_traced(case, config, capacity)
     });
     let mut speed = SpeedStats::default();
     for ((k, n), swept) in kernels.iter().zip(sizes).zip(swept) {
@@ -339,7 +410,7 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
             speed.blocks.hits += leg.speed.blocks.hits;
             speed.blocks.misses += leg.speed.blocks.misses;
             speed.blocks.invalidations += leg.speed.blocks.invalidations;
-            sink_trace(leg.trace);
+            session.record(k.name, [leg.trace]);
             let stats = &leg.stats;
             let acct = stats.cycle_account();
             assert!(
@@ -397,7 +468,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 
 /// E4 (manual-vs-compiler figure): hand-optimised DySER code against
 /// compiler-generated DySER code on the kernels with manual mappings.
-pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
+pub fn e4_manual_vs_compiler(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E4: manual vs compiler-generated DySER code",
         &["kernel", "n", "base", "compiler", "manual", "compiler x", "manual x", "compiler/manual"],
@@ -406,12 +477,13 @@ pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
     for m in manual::all(geometry, scale.n(512), SEED) {
         let k = kernel_by_name(m.name);
         let n = scale.n(512);
-        let r = run_one(&k, n, |_| {});
-        let mut rc = RunConfig::default();
+        let r = run_one(session, &k, n, |_| {});
+        let mut rc = session.run_config();
         rc.system.geometry = geometry;
-        let manual_stats =
-            run_program("manual", &m.program, &m.args, &m.init, &m.expected, &rc)
-                .unwrap_or_else(|e| panic!("manual {}: {e}", m.name));
+        let (args, init, expected) = (&m.args, &m.init, &m.expected);
+        let capacity = session.trace_capacity;
+        let manual = run_program_traced("manual", &m.program, args, init, expected, &rc, capacity);
+        let manual_stats = session.leg(m.name, manual);
         let compiler_x = r.speedup;
         let manual_x = r.baseline.cycles as f64 / manual_stats.cycles.max(1) as f64;
         t.row(vec![
@@ -433,13 +505,13 @@ pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
 
 /// E5 (dynamic instruction figure): instructions executed by the core,
 /// baseline vs accelerated, with the offloaded fraction.
-pub fn e5_instruction_reduction(scale: Scale) -> ExpTable {
+pub fn e5_instruction_reduction(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E5: dynamic core instructions, baseline vs DySER",
         &["kernel", "base instrs", "dyser instrs", "reduction", "base fp+mul", "dyser fp+mul", "fabric ops"],
     );
     use dyser_isa::InstrClass as C;
-    for (k, _n, r) in run_suite(suite(), scale) {
+    for (k, _n, r) in run_suite(session, suite(), scale) {
         let heavy = |s: &dyser_core::RunStats| {
             s.core.class_count(C::Fp) + s.core.class_count(C::IntMulDiv)
         };
@@ -461,14 +533,14 @@ pub fn e5_instruction_reduction(scale: Scale) -> ExpTable {
 
 /// E6 (power/energy table): the energy model's view of both runs —
 /// fabric power near the prototype's 200 mW, energy and EDP ratios.
-pub fn e6_energy(scale: Scale) -> ExpTable {
+pub fn e6_energy(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E6: energy and power (activity model, 50 MHz)",
         &["kernel", "base uJ", "dyser uJ", "energy ratio", "fabric mW", "EDP gain"],
     );
     let model = EnergyModel::default();
     let mut fabric_powers = Vec::new();
-    for (k, _n, r) in run_suite(suite(), scale) {
+    for (k, _n, r) in run_suite(session, suite(), scale) {
         let eb = r.baseline.energy(&model);
         let ed = r.dyser.energy(&model);
         if r.accelerated_any {
@@ -494,7 +566,7 @@ pub fn e6_energy(scale: Scale) -> ExpTable {
 
 /// E7 (configuration-overhead figure): speedup versus invocation count —
 /// the configuration load amortises as the loop runs longer.
-pub fn e7_config_overhead(scale: Scale) -> ExpTable {
+pub fn e7_config_overhead(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E7: configuration-overhead amortisation (saxpy)",
         &["n", "config cycles", "base cycles", "dyser cycles", "speedup"],
@@ -503,7 +575,7 @@ pub fn e7_config_overhead(scale: Scale) -> ExpTable {
     let base_sizes = [8usize, 16, 32, 64, 128, 256, 512, 1024];
     for &n0 in &base_sizes {
         let n = scale.n(n0).max(8);
-        let r = run_one(&k, n, |_| {});
+        let r = run_one(session, &k, n, |_| {});
         let config_cycles = r.dyser.core.stall_count(StallCause::DyserConfig);
         t.row(vec![
             n.to_string(),
@@ -521,7 +593,7 @@ pub fn e7_config_overhead(scale: Scale) -> ExpTable {
 
 /// E8 (control-flow-shape study): the two shapes that curtail the
 /// compiler, plus the adaptive exit-condition offload.
-pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
+pub fn e8_control_flow_shapes(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E8: control-flow shapes and the adaptive mechanism",
         &["kernel", "shape", "acceleratable", "speedup", "note"],
@@ -542,7 +614,7 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     for name in ["relu_clamp", "find_first", "cond_store"] {
         let k = kernel_by_name(name);
         let n = scale.n(k.default_n);
-        let r = run_one(&k, n, |_| {});
+        let r = run_one(session, &k, n, |_| {});
         let shape = shape_of(&k);
         let note = match shape {
             LoopShape::IfConvertible => "predicated into selects and accelerated",
@@ -563,13 +635,16 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     {
         let k = kernel_by_name("find_first");
         let n = scale.n(k.default_n);
-        let base = run_one(&k, n, |_| {});
+        let base = run_one(session, &k, n, |_| {});
         if let Some(m) =
             dyser_workloads::shapes::speculative_window(FabricGeometry::new(8, 8), n, SEED)
         {
-            let rc = RunConfig::default();
-            let spec = run_program("speculative", &m.program, &m.args, &m.init, &m.expected, &rc)
-                .expect("speculative search verifies");
+            let rc = session.run_config();
+            let (args, init, expected) = (&m.args, &m.init, &m.expected);
+            let capacity = session.trace_capacity;
+            let spec =
+                run_program_traced("speculative", &m.program, args, init, expected, &rc, capacity);
+            let spec = session.leg(k.name, spec);
             let x = base.baseline.cycles as f64 / spec.cycles.max(1) as f64;
             t.row(vec![
                 "find_first (speculative)".into(),
@@ -584,10 +659,10 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     // Adaptive mechanism 2: exit-condition offload, on and off.
     let k = kernel_by_name("scan_poly");
     let n = scale.n(k.default_n);
-    let off = run_one(&k, n, |c| {
+    let off = run_one(session, &k, n, |c| {
         c.compiler.region.offload_exit_condition = false;
     });
-    let on = run_one(&k, n, |_| {});
+    let on = run_one(session, &k, n, |_| {});
     t.row(vec![
         "scan_poly (no offload)".into(),
         "data-dependent exit".into(),
@@ -611,7 +686,7 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
 // ------------------------------------------------------------------ E9
 
 /// E9 (fabric-size sensitivity figure): speedup versus fabric geometry.
-pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
+pub fn e9_fabric_sweep(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E9: speedup vs fabric geometry",
         &["kernel", "2x2", "4x4", "6x6", "8x8"],
@@ -621,7 +696,7 @@ pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
         let n = scale.n(k.default_n / 2);
         let mut cells = vec![name.to_owned()];
         for dim in [2usize, 4, 6, 8] {
-            let r = run_one(&k, n, |c| c.set_geometry(FabricGeometry::new(dim, dim)));
+            let r = run_one(session, &k, n, |c| c.set_geometry(FabricGeometry::new(dim, dim)));
             cells.push(format!("{:.2}x", r.speedup));
         }
         t.row(cells);
@@ -635,7 +710,7 @@ pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
 /// E10 (integration-overhead table): a DySER-equipped system running the
 /// unaccelerated binary must cost exactly the same cycles as a system
 /// with no fabric at all — integration introduces no overhead.
-pub fn e10_integration_overhead(scale: Scale) -> ExpTable {
+pub fn e10_integration_overhead(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E10: integration overhead (baseline binary, fabric present vs absent)",
         &["kernel", "no-fabric cycles", "fabric-idle cycles", "delta"],
@@ -649,14 +724,20 @@ pub fn e10_integration_overhead(scale: Scale) -> ExpTable {
         )
         .expect("compiles");
 
-        let mut rc_none = RunConfig::default();
+        let (program, args, init, expected) =
+            (&compiled.baseline, &case.args, &case.init, &case.expected);
+        let capacity = session.trace_capacity;
+        let mut rc_none = session.run_config();
         rc_none.system.has_fabric = false;
-        let none = run_program("no-fabric", &compiled.baseline, &case.args, &case.init, &case.expected, &rc_none)
-            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
-
-        let rc_idle = RunConfig::default();
-        let idle = run_program("fabric-idle", &compiled.baseline, &case.args, &case.init, &case.expected, &rc_idle)
-            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        let none = session.leg(
+            k.name,
+            run_program_traced("no-fabric", program, args, init, expected, &rc_none, capacity),
+        );
+        let rc_idle = session.run_config();
+        let idle = session.leg(
+            k.name,
+            run_program_traced("fabric-idle", program, args, init, expected, &rc_idle, capacity),
+        );
 
         t.row(vec![
             k.name.into(),
@@ -680,24 +761,22 @@ pub const PROGRAM_N: usize = 256;
 /// termination via `exit` — run as a baseline and a DySER-accelerated
 /// leg. Both legs must produce byte-identical stdout and the same exit
 /// code (the harness verifies this on every run).
-pub fn program_experiment(name: &str, scale: Scale) -> ExpTable {
+pub fn program_experiment(session: &mut Session, name: &str, scale: Scale) -> ExpTable {
     let build = dyser_workloads::programs::by_name(name)
         .unwrap_or_else(|| panic!("unknown program `{name}`"));
     let n = scale.n(PROGRAM_N);
     let geometry = FabricGeometry::new(8, 8);
     let case = build(geometry, n, SEED).expect("the 8x8 fabric fits every program");
-    let mut config = RunConfig::default();
+    let mut config = session.run_config();
     config.system.geometry = geometry;
     let key = memo_key(&case.name, n, &config);
-    let r = match memo_get(&key) {
-        Some(r) => r,
-        None => {
-            let r = dyser_core::run_program_case(&case, &config)
-                .unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
-            memo_put(key, &r);
-            r
-        }
-    };
+    let r = session.recall(&key).unwrap_or_else(|| {
+        let (r, [base, dyser]) = run_program_case_traced(&case, &config, session.trace_capacity)
+            .unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
+        session.record(name, [base.trace, dyser.trace]);
+        session.store(key, &r);
+        r
+    });
     let mut t = ExpTable::new(
          match name {
             "p1" => "P1: whole-program string matcher (argv key, stdin text)",
@@ -734,7 +813,7 @@ pub fn program_experiment(name: &str, scale: Scale) -> ExpTable {
 /// Ablation of the compiler's design choices (DESIGN.md): unroll factor,
 /// store-lag depth, and if-conversion, on one compute-heavy and one
 /// memory-heavy kernel.
-pub fn ablation(scale: Scale) -> ExpTable {
+pub fn ablation(session: &mut Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Ablation: compiler design choices",
         &["kernel", "variant", "dyser cycles", "speedup"],
@@ -763,7 +842,7 @@ pub fn ablation(scale: Scale) -> ExpTable {
             ("universal FUs", Box::new(|c: &mut RunConfig| c.set_universal_fus())),
         ];
         for (label, tweak) in variants {
-            let r = run_one(&k, n, |c| tweak(c));
+            let r = run_one(session, &k, n, |c| tweak(c));
             t.row(vec![
                 name.into(),
                 label.into(),
@@ -792,20 +871,20 @@ mod tests {
 
     #[test]
     fn e2_reports_micro_kernels_and_geomean() {
-        let t = e2_micro_speedup(TINY);
+        let t = e2_micro_speedup(&mut Session::default(), TINY);
         assert_eq!(t.rows.len(), 3 + 1);
         assert!(t.rows.last().unwrap()[0] == "geomean");
     }
 
     #[test]
     fn e4_covers_all_manual_kernels() {
-        let t = e4_manual_vs_compiler(TINY);
+        let t = e4_manual_vs_compiler(&mut Session::default(), TINY);
         assert_eq!(t.rows.len(), 3);
     }
 
     #[test]
     fn e7_speedup_grows_with_n() {
-        let t = e7_config_overhead(Scale(0.5));
+        let t = e7_config_overhead(&mut Session::default(), Scale(0.5));
         let col = &t.headers[4];
         let first: f64 = t.parse_cell(0, col).expect("first row speedup");
         let last: f64 = t.parse_cell(t.rows.len() - 1, col).expect("last row speedup");
@@ -814,7 +893,7 @@ mod tests {
 
     #[test]
     fn e10_deltas_are_zero() {
-        let t = e10_integration_overhead(TINY);
+        let t = e10_integration_overhead(&mut Session::default(), TINY);
         for row in &t.rows {
             assert_eq!(row[3], "0", "{row:?}");
         }
@@ -822,7 +901,7 @@ mod tests {
 
     #[test]
     fn ablation_defaults_not_slower_than_no_lag() {
-        let t = ablation(Scale(0.25));
+        let t = ablation(&mut Session::default(), Scale(0.25));
         // poly6's default variant must beat its no-store-lag variant.
         let cycles = |variant: &str| -> u64 {
             let row = t
@@ -837,17 +916,17 @@ mod tests {
 
     #[test]
     fn result_memo_replays_bit_identically() {
+        let mut session = Session::default();
         let k = kernel_by_name("saxpy");
         let n = TINY.n(k.default_n);
-        // A config no other test uses, so the key is this test's alone.
         let tweak = |c: &mut RunConfig| c.system.fifo_depth = 7;
-        let first = run_one(&k, n, tweak);
-        let key = memo_key(k.name, n, &job_for(&k, n, tweak).1);
+        let first = run_one(&mut session, &k, n, tweak);
+        let key = memo_key(k.name, n, &job_for(&session, &k, n, tweak).1);
         assert!(
-            result_memo().lock().expect("result memo lock").contains_key(&key),
-            "a finished run must be stored in the result memo"
+            session.results.contains_key(&key),
+            "a finished run must be stored in the session's result map"
         );
-        let again = run_one(&k, n, tweak);
+        let again = run_one(&mut session, &k, n, tweak);
         assert_eq!(again.baseline.cycles, first.baseline.cycles);
         assert_eq!(again.dyser.cycles, first.dyser.cycles);
         assert_eq!(again.speedup, first.speedup);
@@ -856,17 +935,35 @@ mod tests {
     #[test]
     fn memoized_tables_render_identically() {
         // e3/e5/e6 re-sweep the suite e2 already ran in `repro all`; the
-        // memoized replay must not change a single cell. Rendering the
-        // same table twice (cold, then warm) checks exactly that path.
-        let cold = e2_micro_speedup(TINY);
-        let warm = e2_micro_speedup(TINY);
+        // replay must not change a single cell. Rendering the same table
+        // twice in one session (cold, then warm) checks exactly that path.
+        let mut session = Session::default();
+        let cold = e2_micro_speedup(&mut session, TINY);
+        let warm = e2_micro_speedup(&mut session, TINY);
         assert_eq!(cold.to_csv(), warm.to_csv());
     }
 
     #[test]
+    fn traced_session_records_every_run_in_job_order() {
+        let mut session = Session::traced(Backend::Interpreted, 256);
+        let first = e2_micro_speedup(&mut session, TINY);
+        let second = e2_micro_speedup(&mut session, TINY);
+        assert_eq!(first.to_csv(), second.to_csv());
+        let labels: Vec<String> = session.into_traces().into_iter().map(|run| run.label).collect();
+        let micro: Vec<&str> =
+            suite().into_iter().filter(|k| k.category == Category::Micro).map(|k| k.name).collect();
+        let once: Vec<String> = micro
+            .iter()
+            .flat_map(|name| [format!("{name} baseline"), format!("{name} dyser")])
+            .collect();
+        assert_eq!(labels, [once.clone(), once].concat(), "a traced session replays nothing");
+    }
+
+    #[test]
     fn all_experiments_run_at_tiny_scale() {
+        let mut session = Session::default();
         for id in EXPERIMENT_IDS {
-            let t = run_experiment_scaled(id, TINY);
+            let t = run_experiment_scaled(&mut session, id, TINY);
             assert!(!t.rows.is_empty(), "{id}");
         }
     }

@@ -10,7 +10,7 @@
 //!   the compiled backend (and between the scalar and DySER legs) before
 //!   comparing;
 //! * `programs_experiments.csv` — the `repro p1|p2|p3 --csv` rows,
-//!   asserted byte-identical under a compiled-backend override before
+//!   asserted byte-identical in a compiled-engine session before
 //!   comparing.
 //!
 //! Regenerate with `BLESS=1 cargo test -p dyser-bench --test
@@ -18,8 +18,8 @@
 //! like any other code change.
 
 use dyser_bench::experiments::{PROGRAM_N, SEED};
-use dyser_bench::run_experiment;
-use dyser_core::{run_whole_program, set_backend_override, Backend, RunConfig};
+use dyser_bench::{run_experiment, Session};
+use dyser_core::{run_whole_program, Backend, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_workloads::programs;
 
@@ -68,9 +68,9 @@ fn run_on(name: &str, backend: Backend) -> (Vec<u8>, u64) {
     let mut config = RunConfig::default();
     config.set_geometry(geometry);
     config.backend = backend;
-    let base = run_whole_program("baseline", &case.baseline, &case, &config)
+    let base = run_whole_program("baseline", &case.baseline, &case, &config, 0)
         .unwrap_or_else(|e| panic!("{name} baseline ({backend:?}): {e}"));
-    let dyser = run_whole_program("dyser", &case.accelerated, &case, &config)
+    let dyser = run_whole_program("dyser", &case.accelerated, &case, &config, 0)
         .unwrap_or_else(|e| panic!("{name} dyser ({backend:?}): {e}"));
     assert_eq!(base.stdout, dyser.stdout, "{name}: legs disagree on stdout");
     assert_eq!(base.exit_code, dyser.exit_code, "{name}: legs disagree on exit code");
@@ -93,14 +93,12 @@ fn program_stdout_is_byte_identical_on_both_backends_and_matches_snapshot() {
 
 #[test]
 fn program_experiment_csv_matches_snapshot_on_both_backends() {
-    let got: String = PROGRAMS.iter().map(|id| run_experiment(id).to_csv() + "\n").collect();
-
-    // The same rows under a compiled-backend override (a distinct memo
-    // key, so the sweep genuinely re-runs) must be byte-identical.
-    set_backend_override(Some(Backend::Compiled));
-    let compiled: String =
-        PROGRAMS.iter().map(|id| run_experiment(id).to_csv() + "\n").collect();
-    set_backend_override(None);
+    let csv = |engine| {
+        let mut session = Session::new(engine);
+        PROGRAMS.iter().map(|id| run_experiment(&mut session, id).to_csv() + "\n").collect()
+    };
+    let got: String = csv(Backend::Interpreted);
+    let compiled: String = csv(Backend::Compiled);
     assert_eq!(got, compiled, "program experiment CSV differs between backends");
 
     check_snapshot(CSV_SNAPSHOT, &got, "program experiment CSV");

@@ -1,6 +1,8 @@
 //! End-to-end checks of the `repro` binary's output paths: a traced
-//! whole-program run records both legs, a closed stdout ends a run
-//! quietly, and an unknown flag is a one-line usage error.
+//! whole-program run records both legs, a traced suite run writes the
+//! same bytes every time with each run named after its kernel, a closed
+//! stdout ends a run quietly, and an unknown flag or a bad flag value is
+//! a one-line usage error.
 
 use std::process::{Command, Stdio};
 
@@ -23,12 +25,8 @@ fn traced_p1_records_both_legs() {
     let doc = parse_json(&text).expect("trace is JSON");
     let events = doc.get("traceEvents").and_then(JsonValue::as_array).expect("traceEvents");
     let field = |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_owned);
-    let labels: Vec<String> = events
-        .iter()
-        .filter(|e| field(e, "name").as_deref() == Some("process_name"))
-        .filter_map(|e| e.get("args").and_then(|a| field(a, "name")))
-        .collect();
-    assert_eq!(labels, ["baseline", "dyser"]);
+    let labels = process_names(&doc);
+    assert_eq!(labels, ["p1 baseline", "p1 dyser"]);
     for pid in [1, 2] {
         let recorded = events
             .iter()
@@ -36,6 +34,44 @@ fn traced_p1_records_both_legs() {
             .filter(|e| field(e, "ph").as_deref() != Some("M"))
             .count();
         assert!(recorded > 0, "run {pid} ({}) recorded no events", labels[pid as usize - 1]);
+    }
+}
+
+/// The process names of a Chrome trace, in pid order.
+fn process_names(doc: &JsonValue) -> Vec<String> {
+    let events = doc.get("traceEvents").and_then(JsonValue::as_array).expect("traceEvents");
+    let field =
+        |e: &JsonValue, key: &str| e.get(key).and_then(JsonValue::as_str).map(str::to_owned);
+    events
+        .iter()
+        .filter(|e| field(e, "name").as_deref() == Some("process_name"))
+        .filter_map(|e| e.get("args").and_then(|a| field(a, "name")))
+        .collect()
+}
+
+#[test]
+fn traced_suite_is_deterministic_and_names_each_kernel() {
+    let traces: Vec<String> = (0..2)
+        .map(|i| {
+            let path = std::env::temp_dir()
+                .join(format!("repro-e3-trace-{}-{i}.json", std::process::id()));
+            let out = repro().args(["e3", "--trace"]).arg(&path).output().expect("run repro");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let text = std::fs::read_to_string(&path).expect("trace written");
+            std::fs::remove_file(&path).expect("remove trace");
+            text
+        })
+        .collect();
+    assert!(traces[0] == traces[1], "two traced runs of e3 wrote different bytes");
+
+    let names = process_names(&parse_json(&traces[0]).expect("trace is JSON"));
+    assert_eq!(names.len(), 30, "{names:?}");
+    for (name, leg) in names.iter().zip(["baseline", "dyser"].iter().cycle()) {
+        let kernel = name.strip_suffix(leg).and_then(|k| k.strip_suffix(' '));
+        assert!(
+            kernel.is_some_and(|k| dyser_workloads::suite().iter().any(|s| s.name == k)),
+            "process `{name}` does not name a suite kernel and its {leg} leg"
+        );
     }
 }
 
@@ -57,11 +93,18 @@ fn closed_stdout_ends_the_run_quietly() {
 
 #[test]
 fn unknown_flags_are_one_line_usage_errors() {
-    for args in [["e2", "--time"], ["fuzz", "--time"]] {
+    let cases: [(&[&str], &str); 5] = [
+        (&["e2", "--time"], "`--time`"),
+        (&["fuzz", "--time"], "`--time`"),
+        (&["e2", "--backend", "bogus"], "\"bogus\""),
+        (&["dse", "--mems", "bogus"], "\"bogus\""),
+        (&["dse", "--mixes", "bogus"], "\"bogus\""),
+    ];
+    for (args, culprit) in cases {
         let out = repro().args(args).output().expect("run repro");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown") && stderr.contains("`--time`"), "{stderr}");
+        assert!(stderr.contains("unknown") && stderr.contains(culprit), "{stderr}");
     }
 }

@@ -92,8 +92,7 @@ pub struct RunConfig {
     /// tests can prove it through the full harness. Takes precedence
     /// over `backend`.
     pub stepped: bool,
-    /// Execution engine for non-stepped runs (overridable process-wide
-    /// with [`set_backend_override`]).
+    /// Execution engine for non-stepped runs.
     pub backend: Backend,
 }
 
@@ -238,78 +237,10 @@ impl From<CompileError> for HarnessError {
     }
 }
 
-/// Process-wide backend override: 0 = none (use each job's `RunConfig`),
-/// 1 = interpreted, 2 = compiled. Lets the CLI's `--backend` flag reach
-/// every run without threading through each experiment constructor.
-static BACKEND_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Forces every subsequent [`run_program`] call in this process onto the
-/// given backend (`None` restores per-job configuration).
-pub fn set_backend_override(backend: Option<Backend>) {
-    let v = match backend {
-        None => 0,
-        Some(Backend::Interpreted) => 1,
-        Some(Backend::Compiled) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The backend override currently in force (see [`set_backend_override`]).
-///
-/// Exposed so callers that memoize results keyed on effective
-/// configuration (the `repro` table cache) can fold the override into
-/// their keys.
-#[must_use]
-pub fn backend_override() -> Option<Backend> {
-    match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(Backend::Interpreted),
-        2 => Some(Backend::Compiled),
-        _ => None,
-    }
-}
-
-/// The engine a non-stepped run under `config` uses: the process-wide
-/// override when one is set, else the job's own backend.
-fn engine(config: &RunConfig) -> Backend {
-    backend_override().unwrap_or(config.backend)
-}
-
-/// Ring-buffer capacity for event tracing in [`run_program`] and
-/// [`run_whole_program`]; zero (the default) disables tracing entirely.
-static TRACE_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Completed traces awaiting collection by [`take_traces`].
-static TRACE_SINK: Mutex<Vec<TraceRun>> = Mutex::new(Vec::new());
-
-/// Enables (capacity > 0) or disables (capacity == 0) event tracing for
-/// subsequent [`run_program`] and [`run_whole_program`] calls in this
-/// process. Each run traces into per-component ring buffers of
-/// `capacity` events.
-pub fn set_trace_capacity(capacity: usize) {
-    TRACE_CAP.store(capacity, Ordering::Relaxed);
-}
-
-/// The event-tracing ring capacity currently in force (zero = disabled).
-/// Result caches consult this: a memoized replay would silently drop the
-/// trace the original run produced, so caching is bypassed while tracing.
-#[must_use]
-pub fn trace_capacity() -> usize {
-    TRACE_CAP.load(Ordering::Relaxed)
-}
-
-/// Drains every trace recorded since the last call, in run-completion
-/// order.
-#[must_use]
-pub fn take_traces() -> Vec<TraceRun> {
-    std::mem::take(&mut *TRACE_SINK.lock().expect("trace sink lock"))
-}
-
 /// Everything one simulated job produces beyond its verdict: the run
 /// statistics, the per-run issue-path cache counters, and (when the
-/// caller asked for one) the run's own trace — owned by the caller, not
-/// deposited in the process-global sink. The serve daemon's shard
-/// workers rely on this ownership: concurrent jobs must never interleave
-/// their artifacts through shared process state.
+/// caller asked for one) the run's own trace, all owned by the caller, so
+/// concurrent jobs never interleave their artifacts.
 #[derive(Debug, Clone)]
 pub struct RunArtifacts {
     /// The run's statistics (bit-identical across backends).
@@ -318,16 +249,6 @@ pub struct RunArtifacts {
     pub speed: SpeedStats,
     /// The run's trace, if `trace_capacity > 0` was requested.
     pub trace: Option<TraceRun>,
-}
-
-/// Deposits a finished run's trace, if it has one, in the process-wide
-/// sink that [`take_traces`] drains. [`run_program`] and
-/// [`run_whole_program`] pass every trace through here; callers of
-/// [`run_program_traced`] that trace at [`trace_capacity`] do the same.
-pub fn sink_trace(trace: Option<TraceRun>) {
-    if let Some(run) = trace {
-        TRACE_SINK.lock().expect("trace sink lock").push(run);
-    }
 }
 
 /// Runs a loaded `sys` to completion on the engine `config` selects,
@@ -345,7 +266,7 @@ fn run_loaded(
     let run = if config.stepped {
         sys.run_stepped(config.max_cycles)
     } else {
-        match engine(config) {
+        match config.backend {
             Backend::Interpreted => sys.run(config.max_cycles),
             Backend::Compiled => sys.run_compiled(config.max_cycles),
         }
@@ -367,9 +288,8 @@ fn run_loaded(
 ///
 /// `trace_capacity > 0` enables event tracing into per-component ring
 /// buffers of that many events; the merged trace comes back in the
-/// artifacts instead of the process-global sink, so concurrent callers
-/// each own exactly their job's events. Debug builds check every run
-/// against the attribution identity `sum(buckets) == cycles`.
+/// artifacts. Debug builds check every run against the attribution
+/// identity `sum(buckets) == cycles`.
 ///
 /// # Errors
 ///
@@ -398,11 +318,8 @@ pub fn run_program_traced(
 }
 
 /// Runs one already-compiled program (IR not required — manual DySER
-/// implementations use this too) and verifies its outputs.
-///
-/// Tracing follows the process-wide capacity ([`set_trace_capacity`]);
-/// any recorded trace lands in the global sink for [`take_traces`]. Use
-/// [`run_program_traced`] to own the artifacts per call instead.
+/// implementations use this too) and verifies its outputs, untraced
+/// ([`run_program_traced`] returns a trace too).
 ///
 /// # Errors
 ///
@@ -415,10 +332,7 @@ pub fn run_program(
     expected: &[(u64, Vec<u64>)],
     config: &RunConfig,
 ) -> Result<RunStats, HarnessError> {
-    let artifacts =
-        run_program_traced(which, program, args, init, expected, config, trace_capacity())?;
-    sink_trace(artifacts.trace);
-    Ok(artifacts.stats)
+    run_program_traced(which, program, args, init, expected, config, 0).map(|run| run.stats)
 }
 
 /// One compile-cache entry. Its lock is held while the key compiles, so
@@ -440,6 +354,10 @@ struct CompileCache {
     misses: AtomicU64,
 }
 
+/// The one process-wide static of the workspace. Sharing it cannot
+/// change a result, and every caller of [`compile_cached`] (the serve
+/// shards, DSE sweeps, perfbench's warm-up) gains from it, so it stays
+/// process state rather than a field of a session.
 static COMPILE_CACHE: OnceLock<CompileCache> = OnceLock::new();
 
 /// Compiles `function` under `options`, memoising the result for the
@@ -483,8 +401,9 @@ pub fn compile_cache_misses() -> u64 {
     COMPILE_CACHE.get().map_or(0, |c| c.misses.load(Ordering::Relaxed))
 }
 
-/// Compiles `case` and runs it both ways, returning the compiled program
-/// and each leg's caller-owned [`RunArtifacts`], baseline first.
+/// Compiles `case` and runs it both ways, returning the
+/// [`KernelResult`] and each leg's caller-owned [`RunArtifacts`],
+/// baseline first.
 ///
 /// The baseline leg runs first, then the DySER leg, both on the calling
 /// thread and each traced at `trace_capacity` ([`run_program_traced`]):
@@ -501,20 +420,21 @@ pub fn run_kernel_traced(
     case: &KernelCase,
     config: &RunConfig,
     trace_capacity: usize,
-) -> Result<(Arc<CompiledProgram>, [RunArtifacts; 2]), HarnessError> {
-    let compiled = compile_cached(&case.function, &config.compiler)?;
-    let leg = |which, program| {
+) -> Result<(KernelResult, [RunArtifacts; 2]), HarnessError> {
+    let mut legs = Vec::with_capacity(2);
+    let result = run_kernel_with(case, config, |which, program| {
         let (args, init, expected) = (&case.args, &case.init, &case.expected);
-        run_program_traced(which, program, args, init, expected, config, trace_capacity)
-    };
-    let legs = [leg("baseline", &compiled.baseline)?, leg("dyser", &compiled.accelerated)?];
-    Ok((compiled, legs))
+        let leg = run_program_traced(which, program, args, init, expected, config, trace_capacity)?;
+        let stats = leg.stats.clone();
+        legs.push(leg);
+        Ok(stats)
+    })?;
+    Ok((result, legs.try_into().expect("run_kernel_with runs two legs")))
 }
 
 /// Compiles and runs `case` both ways, baseline first, on the calling
-/// thread; verifies both runs. Each leg is a [`run_program`] call, so
-/// tracing follows the process-wide capacity and each trace lands in the
-/// sink.
+/// thread; verifies both runs. Each leg is an untraced [`run_program`]
+/// call.
 ///
 /// # Errors
 ///
@@ -526,8 +446,8 @@ pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult,
 }
 
 /// Compiles `case`, runs its baseline leg and then its DySER leg through
-/// `leg`, and assembles the [`KernelResult`]: the code [`run_kernel`] and
-/// [`LegMemo::run_kernel`] share.
+/// `leg`, and assembles the [`KernelResult`]: the code [`run_kernel`],
+/// [`run_kernel_traced`] and [`LegMemo::run_kernel`] share.
 fn run_kernel_with(
     case: &KernelCase,
     config: &RunConfig,
@@ -587,15 +507,15 @@ type LegSlot = Arc<Mutex<Option<RunStats>>>;
 /// simulates once and is replayed for every other fabric geometry, FU
 /// mix and FIFO depth.
 ///
-/// [`LegMemo::run_kernel`] behaves like [`run_kernel`]. A leg is memoised
-/// when its program is scalar (no fabric configuration, no DySER-class
-/// instruction) and no trace is armed, since a replay records no events.
-/// It is keyed on everything else its run reads: the program's code,
-/// entry and pool, the case's args, init and expected outputs, the
-/// memory hierarchy, whether a fabric is attached, the cycle cap, and
-/// the engine. Only verified runs are stored, so a hit replays stats
-/// that already passed verification against the same expected outputs.
-/// Legs that use the fabric always simulate.
+/// [`LegMemo::run_kernel`] behaves like [`run_kernel`], so it never
+/// traces. A leg is memoised when its program is scalar (no fabric
+/// configuration, no DySER-class instruction). It is keyed on
+/// everything else its run reads: the program's code, entry and pool,
+/// the case's args, init and expected outputs, the memory hierarchy,
+/// whether a fabric is attached, the cycle cap, and the engine. Only
+/// verified runs are stored, so a hit replays stats that already passed
+/// verification against the same expected outputs. Legs that use the
+/// fabric always simulate.
 ///
 /// The memo is a value, not process state: its scope is whatever owns
 /// it (`run_dse` makes one per sweep), so runs outside that scope still
@@ -639,7 +559,7 @@ impl LegMemo {
         config: &RunConfig,
     ) -> Result<RunStats, HarnessError> {
         let run = || run_program(which, program, &case.args, &case.init, &case.expected, config);
-        if trace_capacity() > 0 || !is_scalar(program) {
+        if !is_scalar(program) {
             return run();
         }
         let key = LegKey {
@@ -653,7 +573,7 @@ impl LegMemo {
             has_fabric: config.system.has_fabric,
             max_cycles: config.max_cycles,
             stepped: config.stepped,
-            engine: engine(config),
+            engine: config.backend,
         };
         // Recovering from poison is sound for the same reason as in
         // `compile_cached`: a slot holds `None` or verified stats.
@@ -759,14 +679,16 @@ pub struct ProgramRun {
     pub stderr: Vec<u8>,
     /// The `exit` syscall's code (0 if the program halted without one).
     pub exit_code: u64,
+    /// The run's trace, if `trace_capacity > 0` was requested.
+    pub trace: Option<TraceRun>,
 }
 
 /// Runs one leg of a [`ProgramCase`] as an emulated process — startup
 /// stack, proxy kernel, trap-and-emulate syscalls — and verifies its
 /// memory, stdout, and exit code against the references.
 ///
-/// The backend and tracing follow `config` and the process-wide capacity
-/// exactly like [`run_program`], and the trace lands in the same sink.
+/// The engine follows `config`, and tracing follows `trace_capacity`,
+/// exactly like [`run_program_traced`].
 ///
 /// # Errors
 ///
@@ -777,6 +699,7 @@ pub fn run_whole_program(
     program: &Program,
     case: &ProgramCase,
     config: &RunConfig,
+    trace_capacity: usize,
 ) -> Result<ProgramRun, HarnessError> {
     let as_run = |source| HarnessError::Run { which, source };
     let mut sys = System::try_new(config.system.clone()).map_err(as_run)?;
@@ -787,7 +710,7 @@ pub fn run_whole_program(
     let argv: Vec<&str> = case.argv.iter().map(String::as_str).collect();
     let envp: Vec<&str> = case.envp.iter().map(String::as_str).collect();
     sys.setup_process(&argv, &envp, &case.stdin);
-    let (stats, trace) = run_loaded(&mut sys, which, config, trace_capacity())?;
+    let (stats, trace) = run_loaded(&mut sys, which, config, trace_capacity)?;
     verify_expected(&sys, &case.expected, which)?;
     let got_exit = sys.kernel().exit_code().unwrap_or(0);
     if got_exit != case.expected_exit {
@@ -804,39 +727,54 @@ pub fn run_whole_program(
             got: sys.kernel().stdout().to_vec(),
         });
     }
-    sink_trace(trace);
     Ok(ProgramRun {
         stats,
         stdout: sys.kernel().stdout().to_vec(),
         stderr: sys.kernel().stderr().to_vec(),
         exit_code: got_exit,
+        trace,
     })
 }
 
 /// Runs both legs of a [`ProgramCase`], baseline then DySER on the
-/// calling thread like [`run_kernel`], and reports the comparison in the
-/// same [`KernelResult`] shape the experiment tables consume.
+/// calling thread like [`run_kernel`], untraced, and reports the
+/// comparison in the same [`KernelResult`] shape the experiment tables
+/// consume.
+///
+/// # Errors
+///
+/// As [`run_program_case_traced`].
+pub fn run_program_case(
+    case: &ProgramCase,
+    config: &RunConfig,
+) -> Result<KernelResult, HarnessError> {
+    run_program_case_traced(case, config, 0).map(|(result, _)| result)
+}
+
+/// [`run_program_case`] that also returns each leg's [`ProgramRun`],
+/// baseline first, each traced at `trace_capacity`.
 ///
 /// # Errors
 ///
 /// Baseline errors take priority: the DySER leg runs only after the
 /// baseline leg verified.
-pub fn run_program_case(
+pub fn run_program_case_traced(
     case: &ProgramCase,
     config: &RunConfig,
-) -> Result<KernelResult, HarnessError> {
-    let base = run_whole_program("baseline", &case.baseline, case, config)?;
-    let dyser = run_whole_program("dyser", &case.accelerated, case, config)?;
-    let speedup = base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64;
-    Ok(KernelResult {
+    trace_capacity: usize,
+) -> Result<(KernelResult, [ProgramRun; 2]), HarnessError> {
+    let base = run_whole_program("baseline", &case.baseline, case, config, trace_capacity)?;
+    let dyser = run_whole_program("dyser", &case.accelerated, case, config, trace_capacity)?;
+    let result = KernelResult {
         name: case.name.clone(),
-        speedup,
+        speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
         accelerated_any: true,
         regions: Vec::new(),
         code_sizes: (case.baseline.len(), case.accelerated.len()),
-        baseline: base.stats,
-        dyser: dyser.stats,
-    })
+        baseline: base.stats.clone(),
+        dyser: dyser.stats.clone(),
+    };
+    Ok((result, [base, dyser]))
 }
 
 /// Checks every expected output buffer against the system's memory,

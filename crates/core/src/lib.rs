@@ -41,10 +41,9 @@ pub mod report;
 pub mod system;
 
 pub use harness::{
-    backend_override, compile_cache_misses, compile_cached, default_workers, parallel_map,
-    run_kernel, run_kernel_traced, run_kernels, run_program, run_program_case, run_program_traced,
-    run_whole_program, set_backend_override, set_trace_capacity, sink_trace, take_traces,
-    trace_capacity, Backend, HarnessError, KernelCase, KernelJob, KernelResult, LegMemo,
-    ProgramCase, ProgramRun, RunArtifacts, RunConfig,
+    compile_cache_misses, compile_cached, default_workers, parallel_map, run_kernel,
+    run_kernel_traced, run_kernels, run_program, run_program_case, run_program_case_traced,
+    run_program_traced, run_whole_program, Backend, HarnessError, KernelCase, KernelJob,
+    KernelResult, LegMemo, ProgramCase, ProgramRun, RunArtifacts, RunConfig,
 };
 pub use system::{RunStats, SpeedStats, SysError, System, SystemConfig, HEAP_BASE, STACK_BASE};

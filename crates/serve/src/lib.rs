@@ -29,38 +29,24 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 use dyser_bench::dse::{check_unroll, point_sim, DsePoint, FuMix, MemPreset};
-use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED};
+use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED, TRACE_EVENTS};
 use dyser_bench::serve::{
     envelope_json, read_http_request, write_http_response, JobError, JobRequest, JobResult,
     RunSpec, SystemSpec, DEFAULT_JOB_CYCLES,
 };
-use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
+use dyser_bench::{stats_attribution, Scale, Session, EXPERIMENT_IDS};
 use dyser_compiler::ir::parser::parse_module;
 use dyser_compiler::CompilerOptions;
-use dyser_core::{run_kernel_traced, set_backend_override, Backend, KernelCase, RunConfig};
+use dyser_core::{run_kernel_traced, run_program_case_traced, KernelCase, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_sparc::CycleBucket;
 use dyser_trace::{chrome_trace_json, TraceRun};
 use dyser_workloads::programs::MAX_N as MAX_PROGRAM_N;
 use dyser_workloads::suite;
-
-/// Per-component ring-buffer capacity for jobs that request a trace —
-/// the same capacity `repro --trace` uses.
-const TRACE_EVENTS: usize = 65_536;
-
-/// Serializes use of the process-global backend override against every
-/// other job. An experiment job that needs a non-default global backend
-/// (its runs happen deep inside `run_experiment_scaled`, which builds
-/// its own `RunConfig`s) takes the write side while the override is set;
-/// every other job takes the read side, so it can never observe — or be
-/// reconfigured by — another job's override. Kernel and IR jobs never
-/// need the override at all: their backend choice travels in their own
-/// `RunConfig`.
-static BACKEND_GATE: RwLock<()> = RwLock::new(());
 
 // ------------------------------------------------------- configuration
 
@@ -105,26 +91,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` under the backend gate: with `backend` set, exclusively with
-/// the process-global override installed (and removed again before the
-/// lock drops); otherwise shared. Panics inside `f` become
-/// [`JobError::Internal`] — the gate's guards are never poisoned because
-/// the unwind is caught inside them.
-fn gated<R>(backend: Option<Backend>, f: impl FnOnce() -> R) -> Result<R, JobError> {
-    let caught = match backend {
-        Some(b) => {
-            let _g = BACKEND_GATE.write().unwrap_or_else(PoisonError::into_inner);
-            set_backend_override(Some(b));
-            let out = catch_unwind(AssertUnwindSafe(f));
-            set_backend_override(None);
-            out
-        }
-        None => {
-            let _g = BACKEND_GATE.read().unwrap_or_else(PoisonError::into_inner);
-            catch_unwind(AssertUnwindSafe(f))
-        }
-    };
-    caught.map_err(|p| JobError::Internal(panic_message(&*p)))
+/// Runs `f`, turning a panic inside it into [`JobError::Internal`].
+fn guarded<R>(f: impl FnOnce() -> R) -> Result<R, JobError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobError::Internal(panic_message(&*p)))
 }
 
 /// Builds the `RunConfig` for a kernel or IR job, validating the
@@ -161,10 +130,10 @@ fn build_run_config(
 /// concurrent jobs never interleave traces.
 fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobResult, JobError> {
     let capacity = if trace { TRACE_EVENTS } else { 0 };
-    let (_, [base, dyser]) =
+    let (result, [base, dyser]) =
         run_kernel_traced(case, config, capacity).map_err(|e| JobError::from_harness(&e))?;
 
-    let account = dyser.stats.core.cycle_account();
+    let account = result.dyser.core.cycle_account();
     let mut buckets: Vec<(String, u64)> = CycleBucket::ALL
         .iter()
         .map(|b| (b.label().to_owned(), account.get(*b)))
@@ -180,12 +149,12 @@ fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobRes
     };
 
     Ok(JobResult::Run {
-        name: case.name.clone(),
-        baseline_cycles: base.stats.cycles,
-        dyser_cycles: dyser.stats.cycles,
-        speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
-        baseline_stats: format!("{:?}", base.stats),
-        dyser_stats: format!("{:?}", dyser.stats),
+        name: result.name,
+        baseline_cycles: result.baseline.cycles,
+        dyser_cycles: result.dyser.cycles,
+        speedup: result.speedup,
+        baseline_stats: format!("{:?}", result.baseline),
+        dyser_stats: format!("{:?}", result.dyser),
         buckets,
         trace_json,
     })
@@ -209,14 +178,15 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                     "scale {scale} is outside (0, 1]"
                 )));
             }
-            let (id, csv, scale) = (id.clone(), *csv, Scale(*scale));
-            gated(*backend, move || {
+            let scale = Scale(*scale);
+            guarded(|| {
+                let mut session = Session::new(backend.unwrap_or_default());
                 let table = if id == "stats" {
-                    stats_attribution(scale)
+                    stats_attribution(&mut session, scale)
                 } else {
-                    run_experiment_scaled(&id, scale)
+                    run_experiment_scaled(&mut session, id, scale)
                 };
-                if csv {
+                if *csv {
                     table.to_csv()
                 } else {
                     table.to_string()
@@ -232,7 +202,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             kernel.check_n(n).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
             let mut rc = build_run_config(run, system, max_cycles_cap)?;
             rc.compiler = kernel.compiler_options(rc.system.geometry);
-            gated(None, || dual_run(&kernel.case(n, SEED), &rc, run.trace))?
+            guarded(|| dual_run(&kernel.case(n, SEED), &rc, run.trace))?
         }
         JobRequest::Ir { text, function, args, init, expected, run, system } => {
             let module = parse_module(text)
@@ -255,7 +225,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 init: init.clone(),
                 expected: expected.clone(),
             };
-            gated(None, || dual_run(&case, &rc, run.trace))?
+            guarded(|| dual_run(&case, &rc, run.trace))?
         }
         JobRequest::Program { name, n, run } => {
             let Some(build) = dyser_workloads::programs::by_name(name) else {
@@ -269,24 +239,20 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             }
             let mut rc = build_run_config(run, &SystemSpec::default(), max_cycles_cap)?;
             rc.system.geometry = FabricGeometry::new(8, 8);
-            let outcome = gated(None, || {
+            let outcome = guarded(|| {
                 let Some(case) = build(rc.system.geometry, n, SEED) else {
                     return Err(JobError::InvalidConfig(format!(
                         "fabric too small for program `{name}`"
                     )));
                 };
-                let legs = |which, program| {
-                    dyser_core::run_whole_program(which, program, &case, &rc)
-                        .map_err(|e| JobError::from_harness(&e))
-                };
-                Ok((legs("baseline", &case.baseline)?, legs("dyser", &case.accelerated)?))
+                run_program_case_traced(&case, &rc, 0).map_err(|e| JobError::from_harness(&e))
             })?;
-            let (base, dyser) = outcome?;
+            let (result, [_, dyser]) = outcome?;
             Ok(JobResult::Program {
                 name: name.clone(),
-                baseline_cycles: base.stats.cycles,
-                dyser_cycles: dyser.stats.cycles,
-                speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
+                baseline_cycles: result.baseline.cycles,
+                dyser_cycles: result.dyser.cycles,
+                speedup: result.speedup,
                 stdout: String::from_utf8_lossy(&dyser.stdout).into_owned(),
                 exit_code: dyser.exit_code,
             })
@@ -311,7 +277,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 .run_config(&k, run.backend)
                 .map_err(|e| JobError::InvalidConfig(e.to_string()))?;
             rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
-            let result = gated(None, || dyser_core::run_kernel(&k.case(*n, SEED), &rc))?
+            let result = guarded(|| dyser_core::run_kernel(&k.case(*n, SEED), &rc))?
                 .map_err(|e| JobError::from_harness(&e))?;
             let sim = point_sim(&result, rc.system.geometry.fu_count());
             Ok(JobResult::DsePoint {

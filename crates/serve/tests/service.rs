@@ -11,7 +11,7 @@ use dyser_bench::experiments::{run_experiment_scaled, SEED};
 use dyser_bench::serve::{
     http_exchange, parse_envelope, submit, JobError, JobRequest, JobResult, RunSpec, SystemSpec,
 };
-use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
+use dyser_bench::{stats_attribution, Scale, Session, EXPERIMENT_IDS};
 use dyser_core::{run_kernel, Backend, RunConfig};
 use dyser_serve::{execute_job, ServeConfig, Server};
 use dyser_workloads::suite;
@@ -20,9 +20,9 @@ use dyser_workloads::suite;
 /// CI, large enough that every kernel actually simulates.
 const SCALE: f64 = 0.08;
 
-/// The tests in this file share process-global state (the compile
-/// cache, the backend gate); run them one at a time so each test's
-/// concurrency is exactly the concurrency it arranged itself.
+/// The tests in this file share the process-wide compile cache; run them
+/// one at a time so each test's concurrency is exactly the concurrency it
+/// arranged itself.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -66,9 +66,10 @@ fn submit_concurrently(
 fn concurrent_experiment_jobs_are_byte_identical_to_serial_runs() {
     let _g = lock();
     // Serial in-process reference: the exact text `repro --csv` renders.
+    let mut session = Session::default();
     let expected: Vec<String> = EXPERIMENT_IDS
         .iter()
-        .map(|id| run_experiment_scaled(id, Scale(SCALE)).to_csv())
+        .map(|id| run_experiment_scaled(&mut session, id, Scale(SCALE)).to_csv())
         .collect();
 
     let url = spawn_server(4);
@@ -110,13 +111,13 @@ fn stats_job_matches_in_process_sweep() {
         scale: SCALE,
         backend: None,
     };
-    // No other jobs are in flight, so the served sweep's speed-stat
-    // delta must equal a local sweep's.
+    // The served sweep sums only the speed counters its own runs return,
+    // so its notes must equal a local sweep's.
     let served = match submit(&url, &job) {
         Ok(JobResult::Experiment { text }) => text,
         other => panic!("stats job failed: {other:?}"),
     };
-    let local = stats_attribution(Scale(SCALE)).to_string();
+    let local = stats_attribution(&mut Session::default(), Scale(SCALE)).to_string();
     assert_eq!(served, local, "served stats sweep diverged from the in-process sweep");
 }
 
@@ -389,9 +390,9 @@ fn program_jobs_match_in_process_whole_program_runs() {
         let mut rc = RunConfig::default();
         rc.system.geometry = geometry;
         rc.backend = backend;
-        let base = dyser_core::run_whole_program("baseline", &case.baseline, &case, &rc)
+        let base = dyser_core::run_whole_program("baseline", &case.baseline, &case, &rc, 0)
             .unwrap_or_else(|e| panic!("in-process {name} baseline: {e}"));
-        let dyser = dyser_core::run_whole_program("dyser", &case.accelerated, &case, &rc)
+        let dyser = dyser_core::run_whole_program("dyser", &case.accelerated, &case, &rc, 0)
             .unwrap_or_else(|e| panic!("in-process {name} dyser: {e}"));
 
         let job = JobRequest::Program {

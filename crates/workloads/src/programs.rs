@@ -579,22 +579,22 @@ mod tests {
         // stats and byte-for-byte on stdout for both legs.
         let mut rc = RunConfig::default();
         rc.system.geometry = geometry();
-        let interp = run_whole_program("dyser", &case.accelerated, case, &rc)
+        let interp = run_whole_program("dyser", &case.accelerated, case, &rc, 0)
             .unwrap_or_else(|e| panic!("{} interpreted: {e}", case.name));
-        let base = run_whole_program("baseline", &case.baseline, case, &rc)
+        let base = run_whole_program("baseline", &case.baseline, case, &rc, 0)
             .unwrap_or_else(|e| panic!("{} baseline: {e}", case.name));
         assert_eq!(base.stdout, interp.stdout, "{}: legs disagree on stdout", case.name);
         assert_eq!(base.exit_code, interp.exit_code, "{}: legs disagree on exit", case.name);
 
         let mut stepped_rc = rc.clone();
         stepped_rc.stepped = true;
-        let stepped = run_whole_program("dyser", &case.accelerated, case, &stepped_rc)
+        let stepped = run_whole_program("dyser", &case.accelerated, case, &stepped_rc, 0)
             .unwrap_or_else(|e| panic!("{} stepped: {e}", case.name));
         assert_eq!(stepped.stats, interp.stats, "{}: stepped diverged", case.name);
 
         let mut compiled_rc = rc;
         compiled_rc.backend = Backend::Compiled;
-        let compiled = run_whole_program("dyser", &case.accelerated, case, &compiled_rc)
+        let compiled = run_whole_program("dyser", &case.accelerated, case, &compiled_rc, 0)
             .unwrap_or_else(|e| panic!("{} compiled: {e}", case.name));
         assert_eq!(compiled.stats, interp.stats, "{}: compiled diverged", case.name);
         assert_eq!(compiled.stdout, interp.stdout, "{}: compiled stdout diverged", case.name);
@@ -620,7 +620,7 @@ mod tests {
         let mut rc = RunConfig::default();
         rc.system.geometry = geometry();
         for case in all(geometry(), 32, 5) {
-            let run = run_whole_program("dyser", &case.accelerated, &case, &rc)
+            let run = run_whole_program("dyser", &case.accelerated, &case, &rc, 0)
                 .unwrap_or_else(|e| panic!("{}: {e}", case.name));
             assert!(run.stats.fabric.fu_fires() > 0, "{}: fabric idle", case.name);
         }
