@@ -21,8 +21,8 @@
 //!    axis, so a point is only discarded when it is *provably* worse
 //!    than a survivor under the documented estimator error band.
 //! 4. **Simulate** the survivors through the parallel harness (Compiled
-//!    backend by default; each distinct scalar leg simulates once per
-//!    sweep, see [`run_dse`]) and report cycles, energy
+//!    backend by default; each distinct leg simulates once per sweep,
+//!    see [`run_dse`]) and report cycles, energy
 //!    ([`EnergyModel::estimate_for_geometry`]), config-load overhead,
 //!    and the estimated-vs-simulated accuracy of every survivor.
 //! 5. **Emit** the three-axis Pareto front (cycles / energy /
@@ -34,14 +34,15 @@
 //! *between* points of the same kernel, where the systematic component
 //! of the error cancels.
 
+use std::collections::HashMap;
 use std::fmt;
 
+use dyser_compiler::Function;
 use dyser_core::{
     compile_cached, default_workers, parallel_map, Backend, KernelResult, LegMemo, RunConfig,
 };
 use dyser_energy::{Activity, EnergyModel};
 use dyser_fabric::{FabricConfigError, FabricGeometry, DEFAULT_CONFIG_BUS_BITS};
-use std::collections::HashMap;
 use dyser_mem::MemConfig;
 use dyser_sparc::StallCause;
 use dyser_workloads::{program_inner_kernels, suite, Kernel, SizeError};
@@ -319,6 +320,9 @@ pub enum DseError {
     BadSize(SizeError),
     /// A survivor failed compilation or simulation.
     Run(String),
+    /// A kernel's calibration anchor ([`anchor_point`]) failed
+    /// compilation or simulation, before any survivor ran.
+    Anchor(String),
     /// A report row could not be assembled.
     Table(TableError),
 }
@@ -337,6 +341,7 @@ impl fmt::Display for DseError {
             }
             DseError::BadSize(e) => write!(f, "invalid problem size: {e}"),
             DseError::Run(e) => write!(f, "survivor simulation failed: {e}"),
+            DseError::Anchor(e) => write!(f, "calibration anchor failed: {e}"),
             DseError::Table(e) => write!(f, "report assembly failed: {e}"),
         }
     }
@@ -502,8 +507,19 @@ pub struct Estimate {
 ///
 /// Returns [`DseError::Run`] if compilation fails.
 pub fn estimate_point(kernel: &Kernel, point: &DsePoint, n: usize) -> Result<Estimate, DseError> {
+    estimate_with(kernel, &kernel.function(), point, n)
+}
+
+/// [`estimate_point`] given the kernel's IR, which a sweep builds once
+/// per kernel.
+fn estimate_with(
+    kernel: &Kernel,
+    function: &Function,
+    point: &DsePoint,
+    n: usize,
+) -> Result<Estimate, DseError> {
     let rc = point.run_config(kernel, None)?;
-    let compiled = compile_cached(&kernel.function(), &rc.compiler)
+    let compiled = compile_cached(function, &rc.compiler)
         .map_err(|e| DseError::Run(format!("{point}: {e}")))?;
 
     // Reference compile at unroll 1 on the same fabric: per-iteration op
@@ -511,7 +527,7 @@ pub fn estimate_point(kernel: &Kernel, point: &DsePoint, n: usize) -> Result<Est
     // (kernel, geometry, kinds).
     let mut ref_rc = rc.clone();
     ref_rc.compiler.unroll_factor = 1;
-    let reference = compile_cached(&kernel.function(), &ref_rc.compiler)
+    let reference = compile_cached(function, &ref_rc.compiler)
         .map_err(|e| DseError::Run(format!("{point} (reference): {e}")))?;
 
     let sum_accel = |c: &dyser_compiler::CompiledProgram| {
@@ -901,21 +917,32 @@ fn mark_pareto(records: &mut [DseRecord]) {
 /// Runs the sweep: enumerate, estimate, prune, simulate survivors
 /// locally through the parallel harness, mark the Pareto front.
 ///
-/// Points run through one [`LegMemo`] for the whole sweep, so each
-/// distinct scalar leg (every baseline leg, and the DySER leg of a point
-/// that maps no region) simulates once and is replayed for every other
-/// geometry, FU mix and FIFO depth. The report is byte-identical to
-/// simulating every leg ([`run_dse_with`] over [`dyser_core::run_kernel`]).
+/// Each kernel's case is built once per sweep, and points run through one
+/// [`LegMemo`] for the whole sweep, so each distinct leg simulates once:
+/// a scalar leg (every baseline leg, and the DySER leg of a point that
+/// maps no region) is replayed for every other geometry, FU mix and FIFO
+/// depth, and a DySER leg wherever its program runs again on the same
+/// fabric and memory preset (an unroll factor the compiler lowered to
+/// one already swept). The report is byte-identical to simulating every
+/// leg ([`run_dse_with`] over [`dyser_core::run_kernel`]).
 ///
 /// # Errors
 ///
-/// Returns a typed [`DseError`] for invalid plans, compile failures, or
-/// survivor simulation failures.
+/// Returns a typed [`DseError`] for invalid plans, compile failures,
+/// calibration-anchor failures, or survivor simulation failures.
 pub fn run_dse(plan: &DsePlan) -> Result<DseOutcome, DseError> {
+    // Before any case is built: `Kernel::case` may panic on a size the
+    // plan's validation rejects.
+    plan.validate()?;
+    let cases: Vec<_> = dse_kernels()
+        .into_iter()
+        .filter(|k| plan.kernels.iter().any(|name| name == k.name))
+        .map(|k| k.case(plan.n, SEED))
+        .collect();
     let legs = LegMemo::default();
     run_dse_with(plan, |kernel, point, rc| {
-        let case = kernel.case(plan.n, SEED);
-        let result = legs.run_kernel(&case, rc).map_err(|e| format!("{point}: {e}"))?;
+        let case = cases.iter().find(|c| c.name == kernel.name).expect("a case per swept kernel");
+        let result = legs.run_kernel(case, rc).map_err(|e| format!("{point}: {e}"))?;
         Ok(point_sim(&result, rc.system.geometry.fu_count()))
     })
 }
@@ -948,7 +975,9 @@ pub type DseRequest<'a> = (&'a Kernel, DsePoint, RunConfig);
 /// then hand *all* survivors to `simulate_many` in one call, so the hook
 /// decides how to schedule them ([`run_dse_with`] fans them out one
 /// point per task). The hook must return one result per request, in
-/// request order.
+/// request order. The hook is called twice: first with one calibration
+/// anchor per kernel ([`anchor_point`]), whose failure is reported as
+/// [`DseError::Anchor`], then with the survivors.
 ///
 /// # Errors
 ///
@@ -981,8 +1010,11 @@ pub fn run_dse_with_many(
     let anchor_sims = simulate_many(&anchor_requests);
     let mut scales: HashMap<String, (f64, f64, f64)> = HashMap::new();
     for ((kernel, anchor, _), sim) in anchor_requests.iter().zip(anchor_sims) {
-        let est = estimate_point(kernel, anchor, plan.n)?;
-        let sim = sim.map_err(DseError::Run)?;
+        let est = estimate_point(kernel, anchor, plan.n).map_err(|e| match e {
+            DseError::Run(e) => DseError::Anchor(e),
+            e => e,
+        })?;
+        let sim = sim.map_err(DseError::Anchor)?;
         scales.insert(
             kernel.name.to_owned(),
             (
@@ -995,9 +1027,12 @@ pub fn run_dse_with_many(
 
     // Estimation: compile-bound, so parallelize over points; the compile
     // cache dedupes the (kernel, geometry, kinds, unroll) combinations.
+    // Each kernel's IR is built once.
+    let functions: Vec<Function> = plan.kernels.iter().map(|k| kernel_of(k).function()).collect();
     let estimates: Vec<Result<Estimate, DseError>> =
         parallel_map(&points, default_workers(), |p| {
-            estimate_point(kernel_of(&p.kernel), p, plan.n)
+            let function = &functions[plan.kernels.iter().position(|k| *k == p.kernel).expect("swept")];
+            estimate_with(kernel_of(&p.kernel), function, p, plan.n)
         });
     let mut scored: Vec<(DsePoint, Estimate)> = Vec::with_capacity(points_total);
     for (p, e) in points.into_iter().zip(estimates) {
@@ -1129,17 +1164,18 @@ mod tests {
         }
     }
 
-    /// One memo per sweep replays scalar legs without changing a byte:
-    /// `run_dse` must equal simulating every leg afresh, on a plan whose
-    /// scalar legs repeat across geometries, memory presets and unroll
-    /// factors, and where some points map no region.
+    /// One memo per sweep replays legs without changing a byte: `run_dse`
+    /// must equal simulating every leg afresh, on a plan whose scalar
+    /// legs repeat across geometries, FU mixes, FIFO depths, memory
+    /// presets and unroll factors, whose DySER legs repeat across unroll
+    /// factors the compiler lowers, and where some points map no region.
     #[test]
     fn memoised_sweep_matches_fresh_legs() {
         let plan = DsePlan {
             kernels: vec!["poly6".into()],
             dims: vec![2, 4],
-            mixes: vec![FuMix::Default],
-            fifos: vec![4],
+            mixes: FuMix::ALL.to_vec(),
+            fifos: vec![1, 4],
             mems: vec![MemPreset::Default, MemPreset::Tiny],
             unrolls: vec![1, 2],
             n: 24,
@@ -1154,7 +1190,48 @@ mod tests {
         .expect("fresh sweep");
         let unmapped = fresh.records.iter().filter(|r| !r.est.accelerated).count();
         assert!(unmapped > 0, "the plan must have unmapped survivors");
+        // Some survivor's DySER program is also its unroll-1 program, so
+        // the memo replays a fabric leg.
+        let kernel = dse_kernels().into_iter().find(|k| k.name == "poly6").expect("poly6");
+        let dyser_program = |p: &DsePoint| {
+            let rc = p.run_config(&kernel, None).expect("valid point");
+            compile_cached(&kernel.function(), &rc.compiler).expect("compiles")
+        };
+        let repeated = fresh.records.iter().filter(|r| r.point.unroll == 2).any(|r| {
+            let a = dyser_program(&r.point);
+            let b = dyser_program(&DsePoint { unroll: 1, ..r.point.clone() });
+            let (a, b) = (&a.accelerated, &b.accelerated);
+            !a.configs.is_empty() && a.code == b.code && a.pool == b.pool && a.configs == b.configs
+        });
+        assert!(repeated, "no survivor's DySER program repeats across unroll factors");
         assert_eq!(run_dse(&plan).expect("memoised sweep").to_json(), fresh.to_json());
+    }
+
+    /// A failed calibration anchor is reported as the anchor, not as a
+    /// survivor, even when the anchor is not a point of the plan.
+    #[test]
+    fn anchor_failures_name_the_calibration_anchor() {
+        let plan = DsePlan { dims: vec![2, 4], ..tiny_plan() };
+        let anchor = anchor_point("poly6");
+        assert!(!plan.points().contains(&anchor), "the anchor is outside the plan");
+        let sim = PointSim { baseline_cycles: 2, cycles: 1, energy_nj: 1.0, config_cycles: 0 };
+        let fail_if = |failing: bool, point: &DsePoint| {
+            if failing {
+                Err(format!("{point}: baseline run: no halt after 9 cycles"))
+            } else {
+                Ok(sim)
+            }
+        };
+        let err = run_dse_with(&plan, |_, p, _| fail_if(*p == anchor, p)).unwrap_err();
+        assert_eq!(err, DseError::Anchor(format!("{anchor}: baseline run: no halt after 9 cycles")));
+        assert_eq!(
+            err.to_string(),
+            "calibration anchor failed: poly6 8x8/default fifo4 mem:default u1: \
+             baseline run: no halt after 9 cycles"
+        );
+        let err = run_dse_with(&plan, |_, p, _| fail_if(*p != anchor, p)).unwrap_err();
+        assert!(matches!(err, DseError::Run(_)), "{err}");
+        assert!(err.to_string().starts_with("survivor simulation failed: poly6 2x"), "{err}");
     }
 
     #[test]

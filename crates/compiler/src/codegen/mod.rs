@@ -186,7 +186,7 @@ struct RegionCtx {
 }
 
 /// Options for code generation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CodegenOptions {
     /// Lag store-only outputs behind the sends (requires the kernel's
     /// loads and stores to be independent across `lag_depth` adjacent

@@ -25,7 +25,7 @@ use crate::analysis::{Cfg, DomTree, LoopForest};
 use crate::ir::{Block, Function, Inst, Terminator, Value};
 
 /// Options controlling region selection.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionOptions {
     /// Minimum number of compute-slice operations for a region to be
     /// worth configuring (the paper's compiler applies a similar

@@ -13,6 +13,7 @@ pub mod parser;
 pub mod verify;
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Value types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,7 +238,7 @@ impl CmpOp {
 }
 
 /// An instruction (the `Inst` variant of a value's defining kind).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `a op b`.
     Bin {
@@ -303,7 +304,11 @@ pub enum Inst {
 }
 
 /// How a value comes into existence.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Double constants compare and hash by bit pattern, so `0.0` and `-0.0`
+/// differ and a NaN equals itself: equal functions compile to the same
+/// code.
+#[derive(Debug, Clone)]
 pub enum ValueKind {
     /// The `index`-th function parameter.
     Param {
@@ -318,8 +323,34 @@ pub enum ValueKind {
     Inst(Inst),
 }
 
+impl PartialEq for ValueKind {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ValueKind::Param { index: a }, ValueKind::Param { index: b }) => a == b,
+            (ValueKind::ConstI(a), ValueKind::ConstI(b)) => a == b,
+            (ValueKind::ConstF(a), ValueKind::ConstF(b)) => a.to_bits() == b.to_bits(),
+            (ValueKind::Inst(a), ValueKind::Inst(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ValueKind {}
+
+impl Hash for ValueKind {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            ValueKind::Param { index } => index.hash(state),
+            ValueKind::ConstI(c) => c.hash(state),
+            ValueKind::ConstF(c) => c.to_bits().hash(state),
+            ValueKind::Inst(inst) => inst.hash(state),
+        }
+    }
+}
+
 /// A value's definition: kind, type, and optional name.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ValueData {
     /// How the value is produced.
     pub kind: ValueKind,
@@ -330,7 +361,7 @@ pub struct ValueData {
 }
 
 /// A basic-block terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(Block),
@@ -350,7 +381,7 @@ pub enum Terminator {
 }
 
 /// A basic block: ordered instructions plus a terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BlockData {
     /// Block label.
     pub name: String,
@@ -361,7 +392,7 @@ pub struct BlockData {
 }
 
 /// A function: parameters, a value table, and basic blocks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     name: String,
     params: Vec<(String, Type)>,

@@ -27,7 +27,7 @@ use crate::opt::{
 };
 
 /// One named transform, possibly parameterised.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pass {
     /// If-conversion to a fixpoint.
     IfConvert,
@@ -83,7 +83,7 @@ pub struct SpecReport {
 }
 
 /// An ordered list of transforms.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PassSpec {
     passes: Vec<Pass>,
 }

@@ -19,7 +19,7 @@ use crate::opt::{cleanup, if_convert, licm, unroll_innermost, PassSpec, UnrollOu
 use crate::schedule::{schedule_region, Schedule, ScheduleError, ScheduleOptions};
 
 /// Options for the whole pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompilerOptions {
     /// Apply if-conversion before region selection.
     pub if_convert: bool,

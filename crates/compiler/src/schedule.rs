@@ -80,7 +80,7 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Scheduling policy knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScheduleOptions {
     /// Random-restart refinement rounds (0 = greedy only).
     pub refinement_rounds: usize,

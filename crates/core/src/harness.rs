@@ -9,13 +9,15 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 use dyser_compiler::{
     compile, CompileError, CompiledProgram, CompilerOptions, Function, Program, RegionReport,
 };
+use dyser_fabric::{FabricGeometry, FuKind};
 use dyser_isa::InstrClass;
 use dyser_mem::MemConfig;
 use dyser_trace::TraceRun;
@@ -344,12 +346,14 @@ type CompileSlot = Arc<Mutex<Option<Arc<CompiledProgram>>>>;
 ///
 /// Experiment sweeps compile the same `(kernel, options)` pair dozens of
 /// times — every experiment rebuilds the suite from scratch. Compilation
-/// is deterministic, so the result can be shared: the cache key is the
-/// exhaustive `Debug` rendering of both inputs (structural equality by
-/// construction, no `Hash`/`Eq` impls required on compiler types).
+/// is deterministic, so the result can be shared. Entries are interned by
+/// content: the IR and the options are hashed and compared structurally
+/// (double constants by bit pattern), which makes a hit about three
+/// times cheaper than rendering both as `Debug` text did.
 #[derive(Default)]
 struct CompileCache {
-    slots: Mutex<HashMap<String, CompileSlot>>,
+    /// The inputs of each key and its slot.
+    slots: Mutex<Interner<(Function, CompilerOptions, CompileSlot)>>,
     /// Compilations run (see [`compile_cache_misses`]).
     misses: AtomicU64,
 }
@@ -377,13 +381,19 @@ pub fn compile_cached(
     function: &Function,
     options: &CompilerOptions,
 ) -> Result<Arc<CompiledProgram>, CompileError> {
-    let key = format!("{function:?}\u{1f}{options:?}");
     let cache = COMPILE_CACHE.get_or_init(CompileCache::default);
-    // Recovering either lock from poison is sound: the map only ever
-    // gains empty slots, and a slot holds `None` or a finished program.
-    let slot = Arc::clone(
-        cache.slots.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
-    );
+    // Recovering either lock from poison is sound: the cache only ever
+    // gains keys with empty slots, and a slot holds `None` or a finished
+    // program.
+    let slot = {
+        let mut slots = cache.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_, (.., slot)) = slots.intern(
+            (function, options),
+            |(f, o, _)| f == function && o == options,
+            || (function.clone(), options.clone(), CompileSlot::default()),
+        );
+        Arc::clone(slot)
+    };
     let mut entry = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(hit) = entry.as_ref() {
         return Ok(Arc::clone(hit));
@@ -422,7 +432,7 @@ pub fn run_kernel_traced(
     trace_capacity: usize,
 ) -> Result<(KernelResult, [RunArtifacts; 2]), HarnessError> {
     let mut legs = Vec::with_capacity(2);
-    let result = run_kernel_with(case, config, |which, program| {
+    let result = run_kernel_with(case, config, |which, _, program| {
         let (args, init, expected) = (&case.args, &case.init, &case.expected);
         let leg = run_program_traced(which, program, args, init, expected, config, trace_capacity)?;
         let stats = leg.stats.clone();
@@ -440,23 +450,29 @@ pub fn run_kernel_traced(
 ///
 /// As [`run_kernel_traced`].
 pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult, HarnessError> {
-    run_kernel_with(case, config, |which, program| {
+    run_kernel_with(case, config, |which, _, program| {
         run_program(which, program, &case.args, &case.init, &case.expected, config)
     })
 }
 
 /// Compiles `case`, runs its baseline leg and then its DySER leg through
-/// `leg`, and assembles the [`KernelResult`]: the code [`run_kernel`],
-/// [`run_kernel_traced`] and [`LegMemo::run_kernel`] share.
+/// `leg` (which also gets the compile result that owns the leg's
+/// program), and assembles the [`KernelResult`]: the code
+/// [`run_kernel`], [`run_kernel_traced`] and [`LegMemo::run_kernel`]
+/// share.
 fn run_kernel_with(
     case: &KernelCase,
     config: &RunConfig,
-    mut leg: impl FnMut(&'static str, &Program) -> Result<RunStats, HarnessError>,
+    mut leg: impl FnMut(
+        &'static str,
+        &Arc<CompiledProgram>,
+        &Program,
+    ) -> Result<RunStats, HarnessError>,
 ) -> Result<KernelResult, HarnessError> {
     let compiled = compile_cached(&case.function, &config.compiler)?;
     let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
-    let base = leg("baseline", baseline)?;
-    let dyser = leg("dyser", accelerated)?;
+    let base = leg("baseline", &compiled, baseline)?;
+    let dyser = leg("dyser", &compiled, accelerated)?;
     Ok(KernelResult {
         name: case.name.clone(),
         speedup: base.cycles as f64 / dyser.cycles.max(1) as f64,
@@ -480,54 +496,144 @@ fn is_scalar(program: &Program) -> bool {
             .all(|&word| dyser_isa::decode(word).is_ok_and(|i| i.class() != InstrClass::Dyser))
 }
 
-/// Everything a scalar leg's run reads. Fabric geometry, FU kinds and
-/// FIFO depth are absent on purpose (see [`is_scalar`]); whether a
-/// fabric is attached stays, since an attached fabric counts its idle
-/// ticks.
-#[derive(PartialEq, Eq, Hash)]
-struct LegKey {
-    code: Vec<u32>,
-    entry: u64,
-    pool: Vec<u64>,
+/// A distinct program a [`LegMemo`] has seen: one leg of a compile
+/// result the memo keeps alive, so holding it copies no code.
+struct HeldProgram {
+    compiled: Arc<CompiledProgram>,
+    accelerated: bool,
+    /// [`is_scalar`] of the program, decided once per distinct program.
+    scalar: bool,
+}
+
+impl HeldProgram {
+    fn program(&self) -> &Program {
+        if self.accelerated {
+            &self.compiled.accelerated
+        } else {
+            &self.compiled.baseline
+        }
+    }
+}
+
+/// Whether two programs load the same machine: the same code at the same
+/// entry, the same constant pool and the same fabric configurations.
+/// Their listings and spill counts follow from these.
+fn same_program(a: &Program, b: &Program) -> bool {
+    std::ptr::eq(a, b)
+        || (a.entry == b.entry && a.code == b.code && a.pool == b.pool && a.configs == b.configs)
+}
+
+/// The parts of a [`KernelCase`] a leg's run reads, held once per
+/// distinct case a [`LegMemo`] has seen.
+struct HeldCase {
     args: Vec<u64>,
     init: Vec<(u64, Vec<u64>)>,
     expected: Vec<(u64, Vec<u64>)>,
+}
+
+/// Values interned by content: each distinct value is held once and
+/// named by a dense id, so a key can refer to it without a copy.
+struct Interner<T> {
+    /// Keyed afresh for each interner, so content crafted to collide
+    /// (IR from a serve client, say) cannot pile into one bucket.
+    hasher: RandomState,
+    /// Held values and their ids, by content hash.
+    buckets: HashMap<u64, Vec<(usize, T)>>,
+    count: usize,
+}
+
+impl<T> Default for Interner<T> {
+    fn default() -> Self {
+        Interner { hasher: RandomState::new(), buckets: HashMap::new(), count: 0 }
+    }
+}
+
+impl<T> Interner<T> {
+    /// The id and held value of the value that `same` accepts among
+    /// those whose hashed parts equal `parts`; holds `hold()` under a new
+    /// id when no held value matches. Values that `same` accepts must
+    /// have equal `parts`.
+    fn intern(
+        &mut self,
+        parts: impl Hash,
+        same: impl Fn(&T) -> bool,
+        hold: impl FnOnce() -> T,
+    ) -> (usize, &T) {
+        let hash = self.hasher.hash_one(parts);
+        let bucket = self.buckets.entry(hash).or_default();
+        let i = bucket.iter().position(|(_, held)| same(held)).unwrap_or_else(|| {
+            bucket.push((self.count, hold()));
+            self.count += 1;
+            bucket.len() - 1
+        });
+        let (id, held) = &bucket[i];
+        (*id, held)
+    }
+}
+
+/// Everything a leg's run reads, with its program and case as interned
+/// ids. Whether a fabric is attached stays even for a scalar leg, since
+/// an attached fabric counts its idle ticks.
+#[derive(PartialEq, Eq, Hash)]
+struct LegKey {
+    program: usize,
+    case: usize,
     mem: MemConfig,
     has_fabric: bool,
     max_cycles: u64,
     stepped: bool,
     engine: Backend,
+    /// Geometry, FIFO depth and FU kinds, for a leg that may touch the
+    /// fabric; `None` for a scalar leg ([`is_scalar`]), which runs the
+    /// same on every fabric.
+    fabric: Option<(FabricGeometry, usize, Option<Vec<FuKind>>)>,
 }
 
 /// One leg-memo entry; its lock is held while the leg simulates, like a
 /// [`compile_cached`] slot.
 type LegSlot = Arc<Mutex<Option<RunStats>>>;
 
-/// A memo of scalar legs for one sweep: each distinct scalar leg
-/// simulates once and is replayed for every other fabric geometry, FU
-/// mix and FIFO depth.
+/// A memo of legs for one sweep: each distinct leg simulates once and is
+/// replayed wherever the sweep repeats it.
 ///
 /// [`LegMemo::run_kernel`] behaves like [`run_kernel`], so it never
-/// traces. A leg is memoised when its program is scalar (no fabric
-/// configuration, no DySER-class instruction). It is keyed on
-/// everything else its run reads: the program's code, entry and pool,
-/// the case's args, init and expected outputs, the memory hierarchy,
-/// whether a fabric is attached, the cycle cap, and the engine. Only
-/// verified runs are stored, so a hit replays stats that already passed
-/// verification against the same expected outputs. Legs that use the
-/// fabric always simulate.
+/// traces. Each leg is keyed on everything its run reads: the program's
+/// code, entry, pool and fabric configurations, the case's args, init and
+/// expected outputs, the memory hierarchy, whether a fabric is attached,
+/// the cycle cap, the stepped switch and the engine, plus the fabric
+/// geometry, FIFO depth and FU kinds when the program may touch the
+/// fabric. A scalar program (no fabric configuration, no DySER-class
+/// instruction) therefore replays on every geometry, FU mix and FIFO
+/// depth. Because its key leaves the fabric out, a replay first runs
+/// [`SystemConfig::validate`] on the requesting system, as building a
+/// `System` would; if that fails, the leg simulates afresh and fails
+/// exactly as an unmemoised run would.
+///
+/// Programs and cases are interned by content, once per memo: a program
+/// is held through the compile result that owns it and a case as one
+/// copy of its arrays, so a key owns no code, configuration or case data.
+/// Only verified runs are stored, so a hit replays stats that already
+/// passed verification against the same expected outputs.
 ///
 /// The memo is a value, not process state: its scope is whatever owns
 /// it (`run_dse` makes one per sweep), so runs outside that scope still
 /// simulate every leg.
 #[derive(Default)]
 pub struct LegMemo {
-    slots: Mutex<HashMap<LegKey, LegSlot>>,
+    state: Mutex<MemoState>,
+}
+
+/// What a [`LegMemo`] holds behind its lock.
+#[derive(Default)]
+struct MemoState {
+    programs: Interner<HeldProgram>,
+    cases: Interner<HeldCase>,
+    slots: HashMap<LegKey, LegSlot>,
 }
 
 impl LegMemo {
     /// Compiles and runs `case` both ways like [`run_kernel`], replaying
-    /// each scalar leg this memo has already verified.
+    /// each leg this memo has already verified.
     ///
     /// # Errors
     ///
@@ -538,14 +644,31 @@ impl LegMemo {
         case: &KernelCase,
         config: &RunConfig,
     ) -> Result<KernelResult, HarnessError> {
-        run_kernel_with(case, config, |which, program| self.leg(which, program, case, config))
+        let (case_id, _) = self.state().cases.intern(
+            (&case.args, &case.init, &case.expected),
+            |held| held.args == case.args && held.init == case.init && held.expected == case.expected,
+            || HeldCase {
+                args: case.args.clone(),
+                init: case.init.clone(),
+                expected: case.expected.clone(),
+            },
+        );
+        run_kernel_with(case, config, |which, compiled, program| {
+            self.leg(which, compiled, program, case_id, case, config)
+        })
     }
 
-    /// How many verified scalar legs the memo holds.
+    /// The memo's state. Recovering from poison is sound: interning only
+    /// appends whole entries, and a slot holds `None` or verified stats.
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many verified legs the memo holds.
     #[cfg(test)]
     fn stored_legs(&self) -> usize {
-        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        slots
+        self.state()
+            .slots
             .values()
             .filter(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).is_some())
             .count()
@@ -554,35 +677,43 @@ impl LegMemo {
     fn leg(
         &self,
         which: &'static str,
+        compiled: &Arc<CompiledProgram>,
         program: &Program,
+        case_id: usize,
         case: &KernelCase,
         config: &RunConfig,
     ) -> Result<RunStats, HarnessError> {
         let run = || run_program(which, program, &case.args, &case.init, &case.expected, config);
-        if !is_scalar(program) {
-            return run();
-        }
-        let key = LegKey {
-            code: program.code.clone(),
-            entry: program.entry,
-            pool: program.pool.clone(),
-            args: case.args.clone(),
-            init: case.init.clone(),
-            expected: case.expected.clone(),
-            mem: config.system.mem,
-            has_fabric: config.system.has_fabric,
-            max_cycles: config.max_cycles,
-            stepped: config.stepped,
-            engine: config.backend,
+        let system = &config.system;
+        let slot = {
+            let mut state = self.state();
+            let (program_id, held) = state.programs.intern(
+                (program.entry, &program.code, &program.pool),
+                |held| same_program(held.program(), program),
+                || HeldProgram {
+                    compiled: Arc::clone(compiled),
+                    accelerated: std::ptr::eq(program, &compiled.accelerated),
+                    scalar: is_scalar(program),
+                },
+            );
+            let key = LegKey {
+                program: program_id,
+                case: case_id,
+                mem: system.mem,
+                has_fabric: system.has_fabric,
+                max_cycles: config.max_cycles,
+                stepped: config.stepped,
+                engine: config.backend,
+                fabric: (!held.scalar)
+                    .then(|| (system.geometry, system.fifo_depth, system.kinds.clone())),
+            };
+            Arc::clone(state.slots.entry(key).or_default())
         };
-        // Recovering from poison is sound for the same reason as in
-        // `compile_cached`: a slot holds `None` or verified stats.
-        let slot = Arc::clone(
-            self.slots.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
-        );
         let mut entry = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(hit) = entry.as_ref() {
-            return Ok(hit.clone());
+            // A scalar key leaves the fabric out, so a system whose kinds
+            // do not fit its grid could hit a leg stored on a sound one.
+            return if system.validate().is_ok() { Ok(hit.clone()) } else { run() };
         }
         let stats = run()?;
         *entry = Some(stats.clone());
@@ -967,16 +1098,43 @@ mod tests {
         };
 
         // The scalar baseline leg simulates once, then replays on every
-        // geometry, FU mix and FIFO depth. The DySER legs map regions,
-        // use the fabric, and are never stored.
+        // geometry, FU mix and FIFO depth. A DySER leg is keyed on its
+        // geometry, FIFO depth and FU kinds as well.
         let memo = LegMemo::default();
         for rc in [fabric(8, 8, false, 4), fabric(4, 4, true, 1), fabric(6, 8, false, 8)] {
             assert!(check(&memo, &rc).accelerated_any);
-            assert_eq!(memo.stored_legs(), 1);
         }
+        assert_eq!(memo.stored_legs(), 4, "one baseline leg and three DySER legs");
         let again = check(&memo, &fabric(8, 8, false, 4));
-        assert!(again.dyser.fabric.fu_fires() > 0, "the fabric leg simulated");
-        assert_eq!(memo.stored_legs(), 1, "fabric legs are never stored");
+        assert!(again.dyser.fabric.fu_fires() > 0, "the fabric leg ran");
+        assert_eq!(memo.stored_legs(), 4, "a repeated point replays both legs");
+        check(&memo, &fabric(8, 8, false, 2));
+        assert_eq!(memo.stored_legs(), 5, "another FIFO depth is another DySER leg");
+        let mut universal = fabric(8, 8, false, 4);
+        universal.system.kinds = Some(vec![dyser_fabric::FuKind::Universal; 64]);
+        check(&memo, &universal);
+        assert_eq!(memo.stored_legs(), 6, "other FU kinds are another DySER leg");
+
+        // Kinds that cannot execute a configured op: the fresh run fails
+        // to load the configuration, and so must the memo, though it
+        // holds a verified run of the same program, geometry and depth.
+        // Kinds of the wrong length fail validation, on the scalar leg
+        // too.
+        let same_error = |rc: &RunConfig| {
+            let fresh = run_kernel(&case, rc).unwrap_err();
+            let replayed = memo.run_kernel(&case, rc).unwrap_err();
+            assert_eq!(format!("{replayed:?}"), format!("{fresh:?}"));
+            fresh.to_string()
+        };
+        let mut int_only = fabric(8, 8, false, 4);
+        int_only.system.kinds = Some(vec![dyser_fabric::FuKind::IntSimple; 64]);
+        let err = same_error(&int_only);
+        assert!(err.starts_with("dyser run:") && err.contains("IntSimple"), "{err}");
+        let mut short = fabric(8, 8, false, 4);
+        short.system.kinds = Some(vec![dyser_fabric::FuKind::Universal; 3]);
+        let err = same_error(&short);
+        assert!(err.starts_with("baseline run: invalid system configuration"), "{err}");
+        assert_eq!(memo.stored_legs(), 6, "failed legs are not stored");
 
         // A DySER leg that maps no region is the scalar program: it hits
         // the baseline leg's key.

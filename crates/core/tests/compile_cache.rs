@@ -1,11 +1,12 @@
 //! The process-wide compile cache compiles each key once, however many
-//! callers race on it, and never caches a failure.
+//! callers race on it, never caches a failure, and tells keys apart by
+//! every bit of their constants.
 
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::thread;
 
 use dyser_compiler::ir::parser::parse_module;
-use dyser_compiler::{CompilerOptions, Function};
+use dyser_compiler::{CompilerOptions, Function, FunctionBuilder, Type};
 use dyser_core::{compile_cache_misses, compile_cached};
 
 /// Both tests read the process-wide miss counter; run them one at a time
@@ -86,4 +87,36 @@ fn failed_compiles_are_retried() {
         assert!(compile_cached(&function, &options).is_err());
         assert_eq!(compile_cache_misses() - before, attempt, "attempt {attempt} compiled again");
     }
+}
+
+/// Stores the double constant `c` through its one argument.
+fn stores(c: f64) -> Function {
+    let mut b = FunctionBuilder::new("store_const", &[("p", Type::Ptr)]);
+    let p = b.param(0);
+    let k = b.const_f(c);
+    b.store(k, p);
+    b.ret(None);
+    b.build().expect("valid IR")
+}
+
+#[test]
+fn keys_compare_constants_by_bits() {
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let options = CompilerOptions::default();
+    let program = |c: f64| compile_cached(&stores(c), &options).expect("compiles");
+    let before = compile_cache_misses();
+    // Equal as doubles (`0.0 == -0.0`) or alike as text (every NaN
+    // prints as `NaN`), yet four different programs.
+    let nan_payload = f64::from_bits(f64::NAN.to_bits() | 1);
+    let programs = [program(0.0), program(-0.0), program(f64::NAN), program(nan_payload)];
+    assert_eq!(compile_cache_misses() - before, 4, "four keys");
+    for (i, a) in programs.iter().enumerate() {
+        for b in &programs[i + 1..] {
+            let (a, b) = (&a.baseline, &b.baseline);
+            assert!(a.code != b.code || a.pool != b.pool, "the constant's bits reach the program");
+        }
+    }
+    // `NaN != NaN` as doubles, but a NaN constant's key still hits.
+    assert!(Arc::ptr_eq(&program(f64::NAN), &programs[2]));
+    assert_eq!(compile_cache_misses() - before, 4, "a repeated key hits");
 }
