@@ -25,7 +25,7 @@ use std::io::{self, Write};
 use dyser_bench::experiments::TRACE_EVENTS;
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
 use dyser_bench::{
-    run_experiment, run_fuzz_cli, stats_attribution, Scale, Session, EXPERIMENT_IDS,
+    check_experiment_ids, render_experiments, run_fuzz_cli, Scale, Session, EXPERIMENT_IDS,
 };
 
 /// Default campaign size for `repro fuzz` when `--cases` is absent.
@@ -241,54 +241,37 @@ fn main() {
         eprintln!("unknown argument `{flag}`; valid: --csv --trace PATH --backend B --serve URL");
         std::process::exit(2);
     }
-    let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        EXPERIMENT_IDS.to_vec()
+    let ids: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        EXPERIMENT_IDS.map(str::to_owned).into()
     } else {
-        args.iter().map(String::as_str).collect()
+        args
     };
-    for id in &ids {
-        if *id != "stats" && !EXPERIMENT_IDS.contains(id) {
-            eprintln!("unknown experiment `{id}`; valid: {EXPERIMENT_IDS:?} or `stats`");
-            std::process::exit(2);
-        }
+    if let Err(e) = check_experiment_ids(&ids) {
+        eprintln!("{e}; valid: {EXPERIMENT_IDS:?} or `stats`, each at most once");
+        std::process::exit(2);
     }
-    if let Some(url) = serve_url {
-        if trace_path.is_some() {
-            eprintln!("--serve does not support --trace; run it locally");
-            std::process::exit(2);
-        }
-        for id in ids {
-            let job = JobRequest::Experiment { id: id.to_owned(), csv, scale: 1.0, backend };
-            match serve::submit(&url, &job) {
-                Ok(JobResult::Experiment { text }) => say(text),
-                Ok(other) => {
-                    eprintln!("repro: {id} via {url}: unexpected result {other:?}");
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("repro: {id} via {url}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
+    if serve_url.is_some() && trace_path.is_some() {
+        eprintln!("--serve does not support --trace; run it locally");
+        std::process::exit(2);
     }
     let engine = backend.unwrap_or_default();
     let mut session = match trace_path {
         Some(_) => Session::traced(engine, TRACE_EVENTS),
         None => Session::new(engine),
     };
-    for id in ids {
-        let table = if id == "stats" {
-            stats_attribution(&mut session, Scale(1.0))
-        } else {
-            run_experiment(&mut session, id)
-        };
-        if csv {
-            say(table.to_csv());
-        } else {
-            say(table);
-        }
+    let outcome = match &serve_url {
+        Some(url) => serve::submit(url, &JobRequest::Experiment { ids, csv, scale: 1.0, backend })
+            .and_then(|reply| match reply {
+                JobResult::Experiment { text } => Ok(text),
+                other => Err(JobError::Protocol(format!("unexpected result {other:?}"))),
+            })
+            .map(say),
+        None => render_experiments(&mut session, &ids, Scale(1.0), csv, say),
+    };
+    if let Err(e) = outcome {
+        let via = serve_url.map(|url| format!(" via {url}")).unwrap_or_default();
+        eprintln!("repro{via}: {e}");
+        std::process::exit(1);
     }
     if let Some(path) = trace_path {
         let runs = session.into_traces();

@@ -1,12 +1,11 @@
 //! The experiments: E1–E10, each regenerating one reconstructed
 //! table/figure of the evaluation (see `DESIGN.md` for the index).
 
-use std::collections::HashMap;
-
 use dyser_compiler::LoopShape;
 use dyser_core::{
     default_workers, parallel_map, run_kernel_traced, run_program_case_traced, run_program_traced,
-    Backend, HarnessError, KernelJob, KernelResult, RunArtifacts, RunConfig, RunStats, SpeedStats,
+    Backend, HarnessError, KernelJob, KernelResult, LegMemo, RunArtifacts, RunConfig, RunStats,
+    SpeedStats,
 };
 use dyser_energy::EnergyModel;
 use dyser_fabric::{FabricGeometry, FuKind, StructuralStats};
@@ -14,6 +13,7 @@ use dyser_sparc::{CycleBucket, StallCause};
 use dyser_trace::TraceRun;
 use dyser_workloads::{manual, suite, Category, Kernel};
 
+use crate::serve::JobError;
 use crate::table::ExpTable;
 
 /// All experiment ids, in order (`ablation` is this reproduction's own
@@ -44,22 +44,23 @@ pub const TRACE_EVENTS: usize = 65_536;
 
 /// What one `repro` invocation or one daemon experiment job shares: the
 /// engine every run uses, the trace ring capacity and the traces recorded
-/// so far, and the results of the runs so far.
+/// so far, and a memo of the kernel legs simulated so far.
 ///
-/// Several tables re-simulate the same (kernel, size, config) job — e3,
-/// e5 and e6 each sweep the suite e2 already ran — so a session pays for
-/// each distinct simulation once and later tables replay the stored
-/// [`KernelResult`]. The experiments are deterministic, so a replay is
-/// bit-identical to a re-run. A traced session stores and replays
-/// nothing, since a replay records no events; it records each run's
-/// trace in job order, labelled `<case> <leg>`.
+/// Several tables re-simulate the same legs — e3, e5 and e6 each sweep
+/// the suite e2 already ran, and many legs of e9 and the ablation do not
+/// see the knob their job turns — so an untraced session runs its kernel
+/// jobs through a [`LegMemo`] and each distinct leg simulates once. The
+/// experiments are deterministic, so a replay is bit-identical to a
+/// re-run. A traced session simulates every leg, since a replay records
+/// no events; it records each run's trace in job order, labelled
+/// `<case> <leg>`.
 #[derive(Default)]
 pub struct Session {
     /// The configuration every run starts from; it carries the engine.
     base: RunConfig,
     trace_capacity: usize,
     traces: Vec<TraceRun>,
-    results: HashMap<String, KernelResult>,
+    legs: LegMemo,
 }
 
 impl Session {
@@ -89,20 +90,6 @@ impl Session {
         self.traces
     }
 
-    /// The stored result for `key`; always `None` while tracing.
-    fn recall(&self, key: &str) -> Option<KernelResult> {
-        if self.trace_capacity > 0 {
-            return None;
-        }
-        self.results.get(key).cloned()
-    }
-
-    fn store(&mut self, key: String, result: &KernelResult) {
-        if self.trace_capacity == 0 {
-            self.results.insert(key, result.clone());
-        }
-    }
-
     /// Records `case`'s traces, labelling each `<case> <leg>`.
     fn record(&mut self, case: &str, traces: impl IntoIterator<Item = Option<TraceRun>>) {
         for mut run in traces.into_iter().flatten() {
@@ -120,21 +107,12 @@ impl Session {
     }
 }
 
-/// Runs one experiment by id at full size.
+/// Runs one experiment by id at a given size scale.
 ///
 /// # Panics
 ///
-/// Panics on an unknown id (callers use [`EXPERIMENT_IDS`]) or if any
+/// Panics on an unknown id (callers check [`EXPERIMENT_IDS`]) or if any
 /// kernel fails verification — a failed experiment is a bug, not a result.
-pub fn run_experiment(session: &mut Session, id: &str) -> ExpTable {
-    run_experiment_scaled(session, id, Scale(1.0))
-}
-
-/// Runs one experiment at a given size scale.
-///
-/// # Panics
-///
-/// Panics on unknown ids or verification failures.
 pub fn run_experiment_scaled(session: &mut Session, id: &str, scale: Scale) -> ExpTable {
     match id {
         "e1" => e1_fabric_resources(),
@@ -153,9 +131,55 @@ pub fn run_experiment_scaled(session: &mut Session, id: &str, scale: Scale) -> E
     }
 }
 
-/// The result key: everything that can change a run's outcome.
-fn memo_key(kernel: &str, n: usize, config: &RunConfig) -> String {
-    format!("{kernel}|{n}|{config:?}")
+/// Checks that `ids` lists [`EXPERIMENT_IDS`] and `stats`, at least one
+/// and each at most once, which caps a list at one `repro all stats`.
+///
+/// # Errors
+///
+/// [`JobError::UnknownExperiment`] for the first id that is neither, and
+/// [`JobError::InvalidRequest`] for an empty list or a repeated id.
+pub fn check_experiment_ids(ids: &[impl AsRef<str>]) -> Result<(), JobError> {
+    if ids.is_empty() {
+        return Err(JobError::InvalidRequest("no experiment ids".into()));
+    }
+    for (i, id) in ids.iter().map(AsRef::as_ref).enumerate() {
+        if id != "stats" && !EXPERIMENT_IDS.contains(&id) {
+            return Err(JobError::UnknownExperiment(id.to_owned()));
+        }
+        if ids[..i].iter().any(|seen| seen.as_ref() == id) {
+            return Err(JobError::InvalidRequest(format!("experiment `{id}` is listed twice")));
+        }
+    }
+    Ok(())
+}
+
+/// Checks `ids` ([`check_experiment_ids`]), runs them in order in
+/// `session` at `scale` and hands each table to `emit` as it is done
+/// (CSV when `csv`). Joined by newlines, they are what `repro` prints.
+///
+/// # Errors
+///
+/// As [`check_experiment_ids`].
+///
+/// # Panics
+///
+/// As [`run_experiment_scaled`]: a failed verification is a bug.
+pub fn render_experiments(
+    session: &mut Session,
+    ids: &[impl AsRef<str>],
+    scale: Scale,
+    csv: bool,
+    mut emit: impl FnMut(String),
+) -> Result<(), JobError> {
+    check_experiment_ids(ids)?;
+    for id in ids {
+        let table = match id.as_ref() {
+            "stats" => stats_attribution(session, scale),
+            id => run_experiment_scaled(session, id, scale),
+        };
+        emit(if csv { table.to_csv() } else { table.to_string() });
+    }
+    Ok(())
 }
 
 fn kernel_by_name(name: &str) -> Kernel {
@@ -178,26 +202,22 @@ fn job_for(
 }
 
 /// Runs every `(n, job)` pair, fanned across the harness's worker pool,
-/// and returns the results in job order. A job the session has a result
-/// for replays it; fresh results are stored and their traces recorded in
-/// job order.
+/// and returns the results in job order. An untraced session replays
+/// each leg its memo holds; a traced one simulates every leg and records
+/// the traces in job order.
 fn run_jobs(session: &mut Session, jobs: &[(usize, KernelJob)]) -> Vec<KernelResult> {
     let shared = &*session;
-    let outcomes = parallel_map(jobs, default_workers(), |(n, (case, config))| {
-        let key = memo_key(&case.name, *n, config);
-        match shared.recall(&key) {
-            Some(r) => Ok((r, None)),
-            None => run_kernel_traced(case, config, shared.trace_capacity)
-                .map(|(r, legs)| (r, Some((key, legs)))),
+    let outcomes = parallel_map(jobs, default_workers(), |(_, (case, config))| {
+        match shared.trace_capacity {
+            0 => shared.legs.run_kernel(case, config).map(|r| (r, [None, None])),
+            capacity => run_kernel_traced(case, config, capacity)
+                .map(|(r, [base, dyser])| (r, [base.trace, dyser.trace])),
         }
     });
     let mut results = Vec::with_capacity(jobs.len());
     for ((n, (case, _)), outcome) in jobs.iter().zip(outcomes) {
-        let (r, fresh) = outcome.unwrap_or_else(|e| panic!("{} (n={n}): {e}", case.name));
-        if let Some((key, [base, dyser])) = fresh {
-            session.record(&case.name, [base.trace, dyser.trace]);
-            session.store(key, &r);
-        }
+        let (r, traces) = outcome.unwrap_or_else(|e| panic!("{} (n={n}): {e}", case.name));
+        session.record(&case.name, traces);
         results.push(r);
     }
     results
@@ -389,8 +409,8 @@ pub fn stats_attribution(session: &mut Session, scale: Scale) -> ExpTable {
         bucket_labels().iter().map(|l| format!("{l}-cycles")).collect();
     t.csv_extra_headers(&raw_headers.iter().map(String::as_str).collect::<Vec<_>>());
     // A stats sweep diagnoses the simulation hot path, so it simulates
-    // every leg itself, without the session's stored results (a replayed
-    // sweep would show an idle decode cache). Its cache notes sum the
+    // every leg itself, without the session's leg memo (a replayed sweep
+    // would show an idle decode cache). Its cache notes sum the
     // counters its own runs return, so other simulation in the process
     // never leaks in.
     let kernels = suite();
@@ -769,14 +789,9 @@ pub fn program_experiment(session: &mut Session, name: &str, scale: Scale) -> Ex
     let case = build(geometry, n, SEED).expect("the 8x8 fabric fits every program");
     let mut config = session.run_config();
     config.system.geometry = geometry;
-    let key = memo_key(&case.name, n, &config);
-    let r = session.recall(&key).unwrap_or_else(|| {
-        let (r, [base, dyser]) = run_program_case_traced(&case, &config, session.trace_capacity)
-            .unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
-        session.record(name, [base.trace, dyser.trace]);
-        session.store(key, &r);
-        r
-    });
+    let (r, [base, dyser]) = run_program_case_traced(&case, &config, session.trace_capacity)
+        .unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
+    session.record(name, [base.trace, dyser.trace]);
     let mut t = ExpTable::new(
          match name {
             "p1" => "P1: whole-program string matcher (argv key, stdin text)",
@@ -915,21 +930,37 @@ mod tests {
     }
 
     #[test]
-    fn result_memo_replays_bit_identically() {
+    fn session_replays_legs_across_configurations() {
+        // e9 runs 16 jobs, each under its own configuration, so a result
+        // keyed on the whole configuration would replay none of their 32
+        // legs. The leg memo replays a baseline leg on every geometry
+        // where the compiler picked the same unroll factor, and a DySER
+        // leg that mapped nothing is its baseline program.
         let mut session = Session::default();
-        let k = kernel_by_name("saxpy");
-        let n = TINY.n(k.default_n);
-        let tweak = |c: &mut RunConfig| c.system.fifo_depth = 7;
-        let first = run_one(&mut session, &k, n, tweak);
-        let key = memo_key(k.name, n, &job_for(&session, &k, n, tweak).1);
-        assert!(
-            session.results.contains_key(&key),
-            "a finished run must be stored in the session's result map"
-        );
-        let again = run_one(&mut session, &k, n, tweak);
-        assert_eq!(again.baseline.cycles, first.baseline.cycles);
-        assert_eq!(again.dyser.cycles, first.dyser.cycles);
-        assert_eq!(again.speedup, first.speedup);
+        let replayed = e9_fabric_sweep(&mut session, TINY);
+        let simulated = session.legs.stored_legs();
+        assert!((1..32).contains(&simulated), "the session's memo simulated {simulated} of 32 legs");
+        // A traced session simulates every leg; replays change no cell.
+        let fresh = e9_fabric_sweep(&mut Session::traced(Backend::Interpreted, 1), TINY);
+        assert_eq!(replayed.to_csv(), fresh.to_csv());
+    }
+
+    #[test]
+    fn every_id_is_checked_before_any_runs() {
+        let mut session = Session::traced(Backend::Interpreted, 1);
+        let mut check = |ids: &[&str]| render_experiments(&mut session, ids, TINY, true, drop);
+        match check(&["e2", "e99"]) {
+            Err(JobError::UnknownExperiment(id)) => assert_eq!(id, "e99"),
+            other => panic!("expected unknown-experiment, got {other:?}"),
+        }
+        let long = vec!["stats"; 1 << 16];
+        for ids in [&[][..], &["e2", "stats", "e2"], &long] {
+            match check(ids) {
+                Err(JobError::InvalidRequest(_)) => {}
+                other => panic!("{} ids: expected invalid-request, got {other:?}", ids.len()),
+            }
+        }
+        assert!(session.into_traces().is_empty(), "a run started before the ids were checked");
     }
 
     #[test]

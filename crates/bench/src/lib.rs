@@ -20,6 +20,8 @@ pub mod serve;
 pub mod table;
 
 pub use dse::{dse_path, run_dse, DseOutcome, DsePlan};
-pub use experiments::{run_experiment, stats_attribution, Scale, Session, EXPERIMENT_IDS};
+pub use experiments::{
+    check_experiment_ids, render_experiments, stats_attribution, Scale, Session, EXPERIMENT_IDS,
+};
 pub use fuzzcli::run_fuzz_cli;
 pub use table::{ExpTable, TableError};

@@ -238,11 +238,12 @@ pub type MemImage = Vec<(u64, Vec<u64>)>;
 /// One compile+simulate job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobRequest {
-    /// Run a whole experiment (`e1`..`e10`, `ablation`, or `stats`) and
-    /// return its rendered table.
+    /// Run experiments (each of `e1`..`e10`, `p1`..`p3`, `ablation`, or
+    /// `stats`) in order in one session and return their rendered tables
+    /// joined by newlines: what `repro` prints for the same ids.
     Experiment {
-        /// Experiment id.
-        id: String,
+        /// Experiment ids, checked before any runs.
+        ids: Vec<String>,
         /// Render CSV (`to_csv`) instead of the human table.
         csv: bool,
         /// Input size scale (1.0 = the full evaluation sizes).
@@ -450,9 +451,11 @@ impl JobRequest {
     pub fn to_json(&self) -> String {
         let mut fields: Vec<String> = Vec::new();
         match self {
-            JobRequest::Experiment { id, csv, scale, backend } => {
+            JobRequest::Experiment { ids, csv, scale, backend } => {
                 fields.push("\"kind\": \"experiment\"".into());
-                fields.push(format!("\"id\": \"{}\"", json_escaped(id)));
+                let ids: Vec<String> =
+                    ids.iter().map(|id| format!("\"{}\"", json_escaped(id))).collect();
+                fields.push(format!("\"ids\": [{}]", ids.join(", ")));
                 fields.push(format!("\"csv\": {csv}"));
                 fields.push(format!("\"scale\": {scale}"));
                 if let Some(b) = backend {
@@ -518,11 +521,15 @@ impl JobRequest {
             .ok_or_else(|| JobError::InvalidRequest("missing `kind`".into()))?;
         match kind {
             "experiment" => Ok(JobRequest::Experiment {
-                id: v
-                    .get("id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| JobError::InvalidRequest("experiment job needs an `id`".into()))?
-                    .to_owned(),
+                ids: v
+                    .get("ids")
+                    .and_then(JsonValue::as_array)
+                    .and_then(|ids| ids.iter().map(|id| id.as_str().map(str::to_owned)).collect())
+                    .ok_or_else(|| {
+                        JobError::InvalidRequest(
+                            "experiment job needs an `ids` array of strings".into(),
+                        )
+                    })?,
                 csv: v.get("csv").and_then(JsonValue::as_bool).unwrap_or(false),
                 scale: v.get("scale").and_then(JsonValue::as_f64).unwrap_or(1.0),
                 backend: match v.get("backend").and_then(JsonValue::as_str) {
@@ -1032,10 +1039,16 @@ mod tests {
     fn requests_round_trip_through_json() {
         let jobs = vec![
             JobRequest::Experiment {
-                id: "e2".into(),
+                ids: vec!["e2".into()],
                 csv: true,
                 scale: 0.25,
                 backend: Some(Backend::Compiled),
+            },
+            JobRequest::Experiment {
+                ids: vec!["e1".into(), "stats".into(), "p1".into(), "ablation".into()],
+                csv: false,
+                scale: 1.0,
+                backend: None,
             },
             JobRequest::Kernel {
                 name: "saxpy".into(),

@@ -18,7 +18,7 @@
 //! like any other code change.
 
 use dyser_bench::experiments::{PROGRAM_N, SEED};
-use dyser_bench::{run_experiment, Session};
+use dyser_bench::{render_experiments, Scale, Session};
 use dyser_core::{run_whole_program, Backend, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_workloads::programs;
@@ -94,8 +94,12 @@ fn program_stdout_is_byte_identical_on_both_backends_and_matches_snapshot() {
 #[test]
 fn program_experiment_csv_matches_snapshot_on_both_backends() {
     let csv = |engine| {
-        let mut session = Session::new(engine);
-        PROGRAMS.iter().map(|id| run_experiment(&mut session, id).to_csv() + "\n").collect()
+        let mut out = String::new();
+        render_experiments(&mut Session::new(engine), &PROGRAMS, Scale(1.0), true, |t| {
+            out += &(t + "\n");
+        })
+        .expect("every id is an experiment");
+        out
     };
     let got: String = csv(Backend::Interpreted);
     let compiled: String = csv(Backend::Compiled);

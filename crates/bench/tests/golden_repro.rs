@@ -11,15 +11,19 @@
 //! Every simulated run of the sweep also passes the harness's debug-build
 //! check of the attribution identity `sum(buckets) == cycles`.
 
-use dyser_bench::{run_experiment, Session, EXPERIMENT_IDS};
+use dyser_bench::{render_experiments, Scale, Session, EXPERIMENT_IDS};
 
 const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/repro_all.csv");
 
 /// Exactly what `repro all --csv` writes to stdout: each table's CSV
 /// followed by the blank line `println!` appends, all from one session.
 fn full_csv() -> String {
-    let mut session = Session::default();
-    EXPERIMENT_IDS.iter().map(|id| run_experiment(&mut session, id).to_csv() + "\n").collect()
+    let mut out = String::new();
+    render_experiments(&mut Session::default(), &EXPERIMENT_IDS, Scale(1.0), true, |t| {
+        out += &(t + "\n");
+    })
+    .expect("every id is an experiment");
+    out
 }
 
 #[test]

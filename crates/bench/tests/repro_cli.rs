@@ -92,6 +92,17 @@ fn closed_stdout_ends_the_run_quietly() {
 }
 
 #[test]
+fn unknown_and_repeated_ids_are_one_line_usage_errors() {
+    for (args, culprit) in [(&["e99"][..], "unknown experiment `e99`"), (&["e2", "e2"], "`e2`")] {
+        let out = repro().args(args).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(culprit) && out.stdout.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn unknown_flags_are_one_line_usage_errors() {
     let cases: [(&[&str], &str); 5] = [
         (&["e2", "--time"], "`--time`"),

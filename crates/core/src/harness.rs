@@ -616,7 +616,8 @@ type LegSlot = Arc<Mutex<Option<RunStats>>>;
 /// passed verification against the same expected outputs.
 ///
 /// The memo is a value, not process state: its scope is whatever owns
-/// it (`run_dse` makes one per sweep), so runs outside that scope still
+/// it (`run_dse` makes one per sweep, an experiment session one per
+/// `repro` invocation or daemon job), so runs outside that scope still
 /// simulate every leg.
 #[derive(Default)]
 pub struct LegMemo {
@@ -664,9 +665,9 @@ impl LegMemo {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// How many verified legs the memo holds.
-    #[cfg(test)]
-    fn stored_legs(&self) -> usize {
+    /// How many verified legs the memo holds: one per leg it simulated.
+    #[must_use]
+    pub fn stored_legs(&self) -> usize {
         self.state()
             .slots
             .values()

@@ -20,8 +20,8 @@
 //! Jobs are bit-identical to in-process runs: a kernel job produces the
 //! same `RunStats` (compared by exhaustive `Debug` rendering) as
 //! `run_kernel` under the same configuration, and an experiment job
-//! returns the exact table text `repro` prints. The integration tests
-//! prove both under concurrency.
+//! returns the exact text `repro` prints for its ids. The integration
+//! tests prove both under concurrency.
 
 #![warn(missing_docs)]
 
@@ -33,12 +33,12 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 use dyser_bench::dse::{check_unroll, point_sim, DsePoint, FuMix, MemPreset};
-use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED, TRACE_EVENTS};
+use dyser_bench::experiments::{PROGRAM_N, SEED, TRACE_EVENTS};
 use dyser_bench::serve::{
     envelope_json, read_http_request, write_http_response, JobError, JobRequest, JobResult,
     RunSpec, SystemSpec, DEFAULT_JOB_CYCLES,
 };
-use dyser_bench::{stats_attribution, Scale, Session, EXPERIMENT_IDS};
+use dyser_bench::{render_experiments, Scale, Session};
 use dyser_compiler::ir::parser::parse_module;
 use dyser_compiler::CompilerOptions;
 use dyser_core::{run_kernel_traced, run_program_case_traced, KernelCase, RunConfig};
@@ -63,7 +63,7 @@ pub struct ServeConfig {
     /// Upper bound on any job's cycle budget. Requests asking for more
     /// are clamped, so one job cannot monopolize a shard indefinitely —
     /// the budget is enforced mid-run by the system's own `Timeout`
-    /// plumbing.
+    /// plumbing. A cap of 0 acts as 1, and [`Server::bind`] stores it as 1.
     pub max_cycles_cap: u64,
 }
 
@@ -96,6 +96,12 @@ fn guarded<R>(f: impl FnOnce() -> R) -> Result<R, JobError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobError::Internal(panic_message(&*p)))
 }
 
+/// A job's cycle budget: what `run` asks for (the harness default when
+/// unset), clamped to `1..=max_cycles_cap`, where a cap of 0 acts as 1.
+fn cycle_budget(run: &RunSpec, max_cycles_cap: u64) -> u64 {
+    run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap.max(1))
+}
+
 /// Builds the `RunConfig` for a kernel or IR job, validating the
 /// hardware description up front so impossible configurations (a
 /// zero-depth FIFO, a 0×0 or 17×17 fabric) come back as typed
@@ -117,7 +123,7 @@ fn build_run_config(
         rc.system.has_fabric = has_fabric;
     }
     rc.system.validate().map_err(|e| JobError::InvalidConfig(e.to_string()))?;
-    rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
+    rc.max_cycles = cycle_budget(run, max_cycles_cap);
     rc.stepped = run.stepped;
     if let Some(b) = run.backend {
         rc.backend = b;
@@ -169,30 +175,18 @@ fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobRes
 /// are caught and surfaced as [`JobError::Internal`]).
 pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, JobError> {
     match job {
-        JobRequest::Experiment { id, csv, scale, backend } => {
-            if id != "stats" && !EXPERIMENT_IDS.contains(&id.as_str()) {
-                return Err(JobError::UnknownExperiment(id.clone()));
-            }
+        JobRequest::Experiment { ids, csv, scale, backend } => {
             if !(*scale > 0.0 && *scale <= 1.0) {
                 return Err(JobError::InvalidRequest(format!(
                     "scale {scale} is outside (0, 1]"
                 )));
             }
-            let scale = Scale(*scale);
+            let mut session = Session::new(backend.unwrap_or_default());
+            let mut tables = Vec::new();
             guarded(|| {
-                let mut session = Session::new(backend.unwrap_or_default());
-                let table = if id == "stats" {
-                    stats_attribution(&mut session, scale)
-                } else {
-                    run_experiment_scaled(&mut session, id, scale)
-                };
-                if *csv {
-                    table.to_csv()
-                } else {
-                    table.to_string()
-                }
-            })
-            .map(|text| JobResult::Experiment { text })
+                render_experiments(&mut session, ids, Scale(*scale), *csv, |t| tables.push(t))
+            })??;
+            Ok(JobResult::Experiment { text: tables.join("\n") })
         }
         JobRequest::Kernel { name, n, run, system } => {
             let Some(kernel) = suite().into_iter().find(|k| k.name == name) else {
@@ -276,7 +270,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             let mut rc = point
                 .run_config(&k, run.backend)
                 .map_err(|e| JobError::InvalidConfig(e.to_string()))?;
-            rc.max_cycles = run.max_cycles.unwrap_or(DEFAULT_JOB_CYCLES).clamp(1, max_cycles_cap);
+            rc.max_cycles = cycle_budget(run, max_cycles_cap);
             let result = guarded(|| dyser_core::run_kernel(&k.case(*n, SEED), &rc))?
                 .map_err(|e| JobError::from_harness(&e))?;
             let sim = point_sim(&result, rc.system.geometry.fu_count());
@@ -393,9 +387,10 @@ impl Server {
     /// # Errors
     ///
     /// [`JobError::Io`] when the address cannot be bound.
-    pub fn bind(config: ServeConfig) -> Result<Server, JobError> {
+    pub fn bind(mut config: ServeConfig) -> Result<Server, JobError> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| JobError::Io(format!("bind {}: {e}", config.addr)))?;
+        config.max_cycles_cap = config.max_cycles_cap.max(1);
         Ok(Server { listener, config })
     }
 
@@ -416,7 +411,7 @@ impl Server {
         format!("http://{}", self.local_addr())
     }
 
-    /// The daemon's configuration.
+    /// The daemon's configuration, with the cycle cap its jobs run under.
     #[must_use]
     pub fn config(&self) -> &ServeConfig {
         &self.config

@@ -52,7 +52,7 @@ fn main() {
         config.queue_depth = depth;
     }
     if let Some(cap) = take_value(&mut args, "--max-cycles", parse_u64) {
-        config.max_cycles_cap = cap.max(1);
+        config.max_cycles_cap = cap;
     }
     if let Some(stray) = args.first() {
         eprintln!(

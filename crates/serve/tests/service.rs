@@ -73,21 +73,26 @@ fn concurrent_experiment_jobs_are_byte_identical_to_serial_runs() {
         .collect();
 
     let url = spawn_server(4);
-    let jobs: Vec<JobRequest> = [Backend::Interpreted, Backend::Compiled]
-        .iter()
-        .flat_map(|b| {
-            EXPERIMENT_IDS.iter().map(|id| JobRequest::Experiment {
-                id: (*id).to_owned(),
-                csv: true,
-                scale: SCALE,
-                backend: Some(*b),
-            })
-        })
-        .collect();
+    let experiment = |ids: &[&str], backend| JobRequest::Experiment {
+        ids: ids.iter().map(|id| (*id).to_owned()).collect(),
+        csv: true,
+        scale: SCALE,
+        backend: Some(backend),
+    };
+    let (mut jobs, mut wants) = (Vec::new(), Vec::new());
+    for backend in [Backend::Interpreted, Backend::Compiled] {
+        for (id, want) in EXPERIMENT_IDS.iter().zip(&expected) {
+            jobs.push(experiment(&[id], backend));
+            wants.push(want.clone());
+        }
+    }
+    // One job carrying every id, as `repro all --serve` sends: its text
+    // is the tables joined as `repro` prints them.
+    jobs.push(experiment(&EXPERIMENT_IDS, Backend::Compiled));
+    wants.push(expected.join("\n"));
 
     let outcomes = submit_concurrently(&url, &jobs, 4);
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let want = &expected[i % EXPERIMENT_IDS.len()];
+    for (i, (outcome, want)) in outcomes.into_iter().zip(&wants).enumerate() {
         match outcome {
             Ok(JobResult::Experiment { text }) => {
                 assert_eq!(
@@ -106,7 +111,7 @@ fn stats_job_matches_in_process_sweep() {
     let _g = lock();
     let url = spawn_server(2);
     let job = JobRequest::Experiment {
-        id: "stats".into(),
+        ids: vec!["stats".into()],
         csv: false,
         scale: SCALE,
         backend: None,
@@ -241,14 +246,40 @@ fn impossible_and_malformed_jobs_return_typed_errors() {
         other => panic!("expected unknown-kernel, got {other:?}"),
     }
 
-    match submit(&url, &JobRequest::Experiment {
-        id: "e99".into(),
+    // An unknown id anywhere in the list refuses the whole job, and so
+    // do an empty list and a repeated id, however long the list: a job
+    // runs each experiment at most once.
+    let experiment = |ids: &[&str]| JobRequest::Experiment {
+        ids: ids.iter().map(|id| (*id).to_owned()).collect(),
         csv: false,
         scale: SCALE,
         backend: None,
-    }) {
-        Err(JobError::UnknownExperiment(_)) => {}
-        other => panic!("expected unknown-experiment, got {other:?}"),
+    };
+    for ids in [&["e99"][..], &["e2", "e99"], &["e99", "e2"]] {
+        match submit(&url, &experiment(ids)) {
+            Err(JobError::UnknownExperiment(m)) => assert!(m.contains("e99"), "{m}"),
+            other => panic!("{ids:?}: expected unknown-experiment, got {other:?}"),
+        }
+    }
+    let long = vec!["stats"; 1 << 16];
+    for ids in [&[][..], &["e2", "e2"], &long] {
+        match submit(&url, &experiment(ids)) {
+            Err(JobError::InvalidRequest(_)) => {}
+            other => panic!("{} ids: expected invalid-request, got {other:?}", ids.len()),
+        }
+    }
+
+    // `ids` must be an array of strings; the single-id `id` field is gone.
+    for body in [
+        r#"{"kind": "experiment", "ids": ["e2", 3]}"#,
+        r#"{"kind": "experiment", "ids": "e2"}"#,
+        r#"{"kind": "experiment", "id": "e2"}"#,
+    ] {
+        let reply = http_exchange(&url, "POST", "/job", body).expect("exchange");
+        match parse_envelope(&reply) {
+            Err(JobError::InvalidRequest(m)) => assert!(m.contains("`ids`"), "{body}: {m}"),
+            other => panic!("{body}: expected invalid-request, got {other:?}"),
+        }
     }
 
     // A body that is not JSON at all.
@@ -308,6 +339,43 @@ fn health_counts_only_its_own_daemons_jobs() {
     };
     assert_eq!(jobs_done(&busy), 3);
     assert_eq!(jobs_done(&idle), 0);
+}
+
+/// A daemon whose cap is 0 runs every job for one cycle: each gets a
+/// typed `timeout`, its one shard keeps serving, and `/health` reports
+/// the cap in force.
+#[test]
+fn a_zero_cycle_cap_times_jobs_out() {
+    let _g = lock();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        shards: 1,
+        max_cycles_cap: 0,
+        ..ServeConfig::default()
+    };
+    let url = Server::bind(config).expect("bind test server").spawn();
+    let dse_point = JobRequest::DsePoint {
+        kernel: "saxpy".into(),
+        n: 16,
+        rows: 2,
+        cols: 2,
+        universal: false,
+        fifo_depth: 2,
+        mem: "default".into(),
+        unroll: 1,
+        run: RunSpec::default(),
+    };
+    for job in [kernel_job("saxpy", 8), dse_point] {
+        for outcome in [execute_job(&job, 0), submit(&url, &job)] {
+            match outcome {
+                Err(JobError::Timeout { cycles }) => assert_eq!(cycles, 1, "{job:?}"),
+                other => panic!("{job:?}: expected a timeout, got {other:?}"),
+            }
+        }
+    }
+    let health = dyser_bench::serve::health(&url).expect("health answers");
+    assert!(health.contains("\"jobs_done\": 2"), "health reply: {health}");
+    assert!(health.contains("\"max_cycles_cap\": 1,"), "health reply: {health}");
 }
 
 #[test]
