@@ -132,14 +132,27 @@ impl JobError {
         }
     }
 
-    /// Serializes into the error member of a reply envelope.
+    /// Serializes into the error member of a reply envelope: the kind,
+    /// the variant's own text as `message` (the `Display` prefix is the
+    /// kind's, so the reader adds it back), and a timeout's `cycles`. A
+    /// timeout carries no text, so its `message` is its `Display` text.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"kind\": \"{}\", \"message\": \"{}\"",
-            self.kind(),
-            json_escaped(&self.to_string())
-        );
+        let message = match self {
+            JobError::InvalidRequest(m)
+            | JobError::UnknownKernel(m)
+            | JobError::UnknownExperiment(m)
+            | JobError::InvalidConfig(m)
+            | JobError::Compile(m)
+            | JobError::Run(m)
+            | JobError::Mismatch(m)
+            | JobError::Overloaded(m)
+            | JobError::Io(m)
+            | JobError::Protocol(m)
+            | JobError::Internal(m) => json_escaped(m),
+            JobError::Timeout { .. } => json_escaped(&self.to_string()),
+        };
+        let mut s = format!("{{\"kind\": \"{}\", \"message\": \"{message}\"", self.kind());
         if let JobError::Timeout { cycles } = self {
             s.push_str(&format!(", \"cycles\": {cycles}"));
         }
@@ -1128,26 +1141,31 @@ mod tests {
         let body = envelope_json(&program);
         dyser_trace::validate_json(&body).expect("program envelope is valid JSON");
         assert_eq!(parse_envelope(&body), program.map_err(|_| unreachable!()));
+    }
 
-        for err in [
-            JobError::InvalidRequest("bad".into()),
+    /// Every variant comes back equal, so a client that prints a served
+    /// error shows its prefix once.
+    #[test]
+    fn every_error_round_trips_through_an_envelope() {
+        let text = || "no \"experiment\" ids\nat all".to_owned();
+        let errors = [
+            JobError::InvalidRequest(text()),
+            JobError::UnknownKernel(text()),
+            JobError::UnknownExperiment(text()),
+            JobError::InvalidConfig(text()),
+            JobError::Compile(text()),
             JobError::Timeout { cycles: 99 },
-            JobError::InvalidConfig("zero-depth FIFO".into()),
-            JobError::Overloaded("queue full".into()),
-        ] {
+            JobError::Run(text()),
+            JobError::Mismatch(text()),
+            JobError::Overloaded(text()),
+            JobError::Io(text()),
+            JobError::Protocol(text()),
+            JobError::Internal(text()),
+        ];
+        for err in errors {
             let body = envelope_json(&Err(err.clone()));
             dyser_trace::validate_json(&body).expect("error envelope is valid JSON");
-            match parse_envelope(&body) {
-                Err(back) => {
-                    assert_eq!(back.kind(), err.kind());
-                    if let (JobError::Timeout { cycles: a }, JobError::Timeout { cycles: b }) =
-                        (&back, &err)
-                    {
-                        assert_eq!(a, b);
-                    }
-                }
-                Ok(r) => panic!("error envelope parsed as success: {r:?}"),
-            }
+            assert_eq!(parse_envelope(&body), Err(err), "{body}");
         }
     }
 

@@ -234,11 +234,15 @@ pub fn codegen_accel(
 struct FnCodegen<'f> {
     f: &'f Function,
     order: Vec<Block>,
-    /// Linear index of every block's start and end.
-    block_range: HashMap<Block, (usize, usize)>,
-    /// Definition index of every instruction value.
-    def_idx: HashMap<Value, usize>,
-    loc: HashMap<Value, Loc>,
+    cfg: Cfg,
+    /// Linear index of every reachable block's start and end, by block
+    /// index.
+    block_range: Vec<Option<(usize, usize)>>,
+    /// Definition index of every instruction value in a reachable block,
+    /// by value index.
+    def_idx: Vec<usize>,
+    /// Location of every value, by value index.
+    loc: Vec<Loc>,
     regions: HashMap<Block, RegionCtx>,
     spill_slots: usize,
     pool: Vec<u64>,
@@ -265,18 +269,18 @@ impl<'f> FnCodegen<'f> {
         // Linear indices: one slot per instruction, plus one slot for each
         // block start (phi defs) and end (copies/terminator).
         let mut idx = 0usize;
-        let mut block_range = HashMap::new();
-        let mut def_idx = HashMap::new();
+        let mut block_range = vec![None; f.block_count()];
+        let mut def_idx = vec![0; f.value_count()];
         for &b in &order {
             let start = idx;
             idx += 1; // block start slot
             for &v in &f.block(b).insts {
-                def_idx.insert(v, idx);
+                def_idx[v.index()] = idx;
                 idx += 1;
             }
             let end = idx;
             idx += 1; // block end slot
-            block_range.insert(b, (start, end));
+            block_range[b.index()] = Some((start, end));
         }
 
         // Reserve region registers from the back of the int pool.
@@ -368,9 +372,10 @@ impl<'f> FnCodegen<'f> {
         let mut cg = FnCodegen {
             f,
             order,
+            cfg,
             block_range,
             def_idx,
-            loc: HashMap::new(),
+            loc: vec![Loc::None; f.value_count()],
             regions,
             spill_slots: 1, // slot 0 = conversion staging
             pool: Vec::new(),
@@ -415,9 +420,10 @@ impl<'f> FnCodegen<'f> {
             start: usize,
             end: usize,
         }
-        let mut intervals: HashMap<Value, Interval> = HashMap::new();
-        let touch = |map: &mut HashMap<Value, Interval>, v: Value, at: usize| {
-            let e = map.entry(v).or_insert(Interval { start: at, end: at });
+        // By value index; `None` for values never defined or used.
+        let mut intervals: Vec<Option<Interval>> = vec![None; self.f.value_count()];
+        let touch = |map: &mut Vec<Option<Interval>>, v: Value, at: usize| {
+            let e = map[v.index()].get_or_insert(Interval { start: at, end: at });
             e.start = e.start.min(at);
             e.end = e.end.max(at);
         };
@@ -427,9 +433,10 @@ impl<'f> FnCodegen<'f> {
             touch(&mut intervals, self.f.param(i), 0);
         }
         for &b in &self.order {
-            let (bstart, bend) = self.block_range[&b];
+            let (bstart, bend) =
+                self.block_range[b.index()].expect("blocks in order are reachable");
             for &v in &self.f.block(b).insts {
-                let at = self.def_idx[&v];
+                let at = self.def_idx[v.index()];
                 let Some(inst) = self.f.as_inst(v) else { continue };
                 if matches!(inst, Inst::Phi { .. }) {
                     // Phi defined at block start; copy points handled below.
@@ -456,7 +463,7 @@ impl<'f> FnCodegen<'f> {
             }
             // Phi copies: at the end of each predecessor, the incoming
             // value is read and the phi location written.
-            for &s in Cfg::compute(self.f).succs(b) {
+            for &s in self.cfg.succs(b) {
                 for &pv in &self.f.block(s).insts {
                     if let Some(Inst::Phi { incomings }) = self.f.as_inst(pv) {
                         for (pred, iv) in incomings {
@@ -484,9 +491,8 @@ impl<'f> FnCodegen<'f> {
         // their registers to loop-local values and clobber them on the
         // second iteration.
         {
-            let cfg = Cfg::compute(self.f);
-            let dom = crate::analysis::DomTree::compute(self.f, &cfg);
-            let forest = crate::analysis::LoopForest::compute(self.f, &cfg, &dom);
+            let dom = crate::analysis::DomTree::compute(self.f, &self.cfg);
+            let forest = crate::analysis::LoopForest::compute(self.f, &self.cfg, &dom);
             let spans: Vec<(usize, usize)> = forest
                 .loops()
                 .iter()
@@ -494,7 +500,7 @@ impl<'f> FnCodegen<'f> {
                     let mut lo = usize::MAX;
                     let mut hi = 0usize;
                     for b in &l.blocks {
-                        let Some(&(s, e)) = self.block_range.get(b) else { continue };
+                        let Some((s, e)) = self.block_range[b.index()] else { continue };
                         lo = lo.min(s);
                         hi = hi.max(e);
                     }
@@ -504,7 +510,7 @@ impl<'f> FnCodegen<'f> {
             let mut changed = true;
             while changed {
                 changed = false;
-                for iv in intervals.values_mut() {
+                for iv in intervals.iter_mut().flatten() {
                     for &(lo, hi) in &spans {
                         if iv.start < lo && iv.end >= lo && iv.end < hi {
                             iv.end = hi;
@@ -517,9 +523,10 @@ impl<'f> FnCodegen<'f> {
 
         // Linear scan, separate int and fp pools.
         let mut items: Vec<(Value, Interval)> = intervals
-            .iter()
-            .filter(|(v, _)| !self.needs_no_loc(**v))
-            .map(|(v, i)| (*v, *i))
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, iv)| Some((Value(i as u32), iv?)))
+            .filter(|(v, _)| !self.needs_no_loc(*v))
             .collect();
         items.sort_by_key(|(v, i)| (i.start, v.index()));
 
@@ -532,7 +539,7 @@ impl<'f> FnCodegen<'f> {
             let mut still_active = Vec::new();
             for (av, ai) in active.drain(..) {
                 if ai.end < iv.start {
-                    match self.loc[&av] {
+                    match self.loc[av.index()] {
                         Loc::IReg(r) => free_i.push(r),
                         Loc::FReg(r) => free_f.push(r),
                         _ => {}
@@ -551,7 +558,7 @@ impl<'f> FnCodegen<'f> {
             };
             match assigned {
                 Some(loc) => {
-                    self.loc.insert(v, loc);
+                    self.loc[v.index()] = loc;
                     active.push((v, iv));
                 }
                 None => {
@@ -565,15 +572,15 @@ impl<'f> FnCodegen<'f> {
                     match victim {
                         Some(k) if active[k].1.end > iv.end => {
                             let (vv, _) = active.remove(k);
-                            let freed = self.loc[&vv];
+                            let freed = self.loc[vv.index()];
                             let slot = self.new_spill()?;
-                            self.loc.insert(vv, slot);
-                            self.loc.insert(v, freed);
+                            self.loc[vv.index()] = slot;
+                            self.loc[v.index()] = freed;
                             active.push((v, iv));
                         }
                         _ => {
                             let slot = self.new_spill()?;
-                            self.loc.insert(v, slot);
+                            self.loc[v.index()] = slot;
                         }
                     }
                 }
@@ -629,7 +636,7 @@ impl<'f> FnCodegen<'f> {
     // ---------------- emission helpers ----------------
 
     fn loc_of(&self, v: Value) -> Loc {
-        self.loc.get(&v).copied().unwrap_or(Loc::None)
+        self.loc[v.index()]
     }
 
     fn fresh_label(&mut self, what: &str) -> String {
@@ -1358,7 +1365,7 @@ impl<'f> FnCodegen<'f> {
         }
 
         let listing = self.asm.resolve()?;
-        let code = self.asm.assemble()?;
+        let code = listing.iter().map(dyser_isa::encode).collect();
         Ok(Program {
             code,
             listing,

@@ -19,8 +19,6 @@
 //!   one iteration to pipeline invocations); anything else is received
 //!   into a register (`drecv`).
 
-use std::collections::{HashMap, HashSet};
-
 use crate::analysis::{Cfg, DomTree, LoopForest};
 use crate::ir::{Block, Function, Inst, Terminator, Value};
 
@@ -184,12 +182,16 @@ fn slice_body(
     options: &RegionOptions,
 ) -> Option<Region> {
     let insts = &f.block(body).insts;
-    let in_body: HashSet<Value> = insts.iter().copied().collect();
+    // Value sets and maps below are indexed by value.
+    let mut in_body = vec![false; f.value_count()];
+    for &v in insts {
+        in_body[v.index()] = true;
+    }
     let Terminator::CondBr { cond, .. } = f.block(body).term else { return None };
 
     // Seed the core-required set: gep operands and (unless offloaded) the
     // exit condition. Close transitively over pure feeders inside the body.
-    let mut core_required: HashSet<Value> = HashSet::new();
+    let mut core_required = vec![false; f.value_count()];
     let mut work: Vec<Value> = Vec::new();
     for &v in insts {
         match f.as_inst(v) {
@@ -205,12 +207,12 @@ fn slice_body(
         work.push(cond);
     }
     while let Some(v) = work.pop() {
-        if !in_body.contains(&v) || core_required.contains(&v) {
+        if !in_body[v.index()] || core_required[v.index()] {
             continue;
         }
         if let Some(inst) = f.as_inst(v) {
             if is_pure_compute(inst) {
-                core_required.insert(v);
+                core_required[v.index()] = true;
                 work.extend(f.operands(v));
             }
         }
@@ -221,31 +223,31 @@ fn slice_body(
         .iter()
         .copied()
         .filter(|&v| {
-            f.as_inst(v).is_some_and(is_pure_compute) && !core_required.contains(&v)
+            f.as_inst(v).is_some_and(is_pure_compute) && !core_required[v.index()]
         })
         .collect();
     if compute.len() < options.min_compute_ops {
         return None;
     }
-    let compute_set: HashSet<Value> = compute.iter().copied().collect();
+    let mut compute_set = vec![false; f.value_count()];
+    for &v in &compute {
+        compute_set[v.index()] = true;
+    }
 
     // Uses of every value, to classify loads and outputs. Collect across
     // the whole function (live-outs count as core uses). Terminator and
     // return uses are tracked separately: they are always core uses.
-    let mut users: HashMap<Value, Vec<Value>> = HashMap::new();
-    let mut control_users: HashSet<Value> = HashSet::new();
+    let mut users: Vec<Vec<Value>> = vec![Vec::new(); f.value_count()];
+    let mut control_users = vec![false; f.value_count()];
     for b in f.blocks() {
         for &v in &f.block(b).insts {
             for o in f.operands(v) {
-                users.entry(o).or_default().push(v);
+                users[o.index()].push(v);
             }
         }
         match &f.block(b).term {
-            Terminator::CondBr { cond: c, .. } => {
-                control_users.insert(*c);
-            }
-            Terminator::Ret(Some(rv)) => {
-                control_users.insert(*rv);
+            Terminator::CondBr { cond: c, .. } | Terminator::Ret(Some(c)) => {
+                control_users[c.index()] = true;
             }
             _ => {}
         }
@@ -253,30 +255,25 @@ fn slice_body(
 
     // Helper: is this value consumed by anything outside the compute slice?
     let externally_used = |v: Value| -> bool {
-        control_users.contains(&v)
-            || users
-                .get(&v)
-                .map(|us| us.iter().any(|u| !compute_set.contains(u)))
-                .unwrap_or(false)
+        control_users[v.index()] || users[v.index()].iter().any(|u| !compute_set[u.index()])
     };
 
     // Inputs: distinct non-compute, non-constant operands of compute insts.
     let mut inputs: Vec<RegionInput> = Vec::new();
-    let mut seen_inputs: HashSet<Value> = HashSet::new();
+    let mut seen_inputs = vec![false; f.value_count()];
     for &cv in &compute {
         for o in f.operands(cv) {
-            if compute_set.contains(&o) || seen_inputs.contains(&o) || f.is_const(o) {
+            if compute_set[o.index()] || seen_inputs[o.index()] || f.is_const(o) {
                 continue;
             }
-            seen_inputs.insert(o);
+            seen_inputs[o.index()] = true;
             let is_body_load =
-                in_body.contains(&o) && matches!(f.as_inst(o), Some(Inst::Load { .. }));
+                in_body[o.index()] && matches!(f.as_inst(o), Some(Inst::Load { .. }));
             if is_body_load {
-                let only_compute = !control_users.contains(&o)
-                    && users
-                        .get(&o)
-                        .map(|us| us.iter().all(|u| compute_set.contains(u)))
-                        .unwrap_or(false);
+                let us = &users[o.index()];
+                let only_compute = !control_users[o.index()]
+                    && !us.is_empty()
+                    && us.iter().all(|u| compute_set[u.index()]);
                 if only_compute {
                     inputs.push(RegionInput::Load { load: o });
                     continue;
@@ -292,14 +289,12 @@ fn slice_body(
         if !externally_used(cv) {
             continue;
         }
-        let external: Vec<Value> = users
-            .get(&cv)
-            .map(|us| us.iter().copied().filter(|u| !compute_set.contains(u)).collect())
-            .unwrap_or_default();
-        let all_stores_of_value = !control_users.contains(&cv)
+        let external: Vec<Value> =
+            users[cv.index()].iter().copied().filter(|u| !compute_set[u.index()]).collect();
+        let all_stores_of_value = !control_users[cv.index()]
             && !external.is_empty()
             && external.iter().all(|&u| {
-                in_body.contains(&u)
+                in_body[u.index()]
                     && matches!(f.as_inst(u), Some(Inst::Store { value, .. }) if *value == cv)
             });
         let kind = if all_stores_of_value {
@@ -313,7 +308,7 @@ fn slice_body(
         return None;
     }
 
-    let offloaded = options.offload_exit_condition && compute_set.contains(&cond);
+    let offloaded = options.offload_exit_condition && compute_set[cond.index()];
     Some(Region {
         name: format!("{}::{}", f.name(), f.block(body).name),
         body,

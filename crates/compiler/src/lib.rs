@@ -41,5 +41,8 @@ pub use codegen::{Program, CODE_BASE, POOL_BASE, SPILL_BASE};
 pub use dyser::{classify_loops, LoopShape, Region, RegionOptions, ShapeReport, ShapeSummary};
 pub use ir::{BinOp, Block, CmpOp, Function, FunctionBuilder, Module, Terminator, Type, UnOp, Value};
 pub use opt::{Pass, PassSpec};
-pub use pipeline::{compile, CompileError, CompiledProgram, CompilerOptions, RegionFate, RegionReport};
+pub use pipeline::{
+    compile, compile_attempt, Attempt, CompileError, CompiledProgram, CompilerOptions, RegionFate,
+    RegionReport,
+};
 pub use schedule::{schedule_region, Schedule, ScheduleError, ScheduleOptions};

@@ -1,7 +1,5 @@
 //! Dead-code elimination.
 
-use std::collections::HashSet;
-
 use crate::ir::{Function, Inst, Terminator, Value};
 
 /// Removes pure instructions whose results are never used, iterating to a
@@ -9,19 +7,17 @@ use crate::ir::{Function, Inst, Terminator, Value};
 pub fn dce(f: &mut Function) -> usize {
     let mut removed = 0;
     loop {
-        let mut used: HashSet<Value> = HashSet::new();
+        // By value index.
+        let mut used = vec![false; f.value_count()];
         for b in f.blocks() {
             for &v in &f.block(b).insts {
                 for o in f.operands(v) {
-                    used.insert(o);
+                    used[o.index()] = true;
                 }
             }
             match &f.block(b).term {
-                Terminator::CondBr { cond, .. } => {
-                    used.insert(*cond);
-                }
-                Terminator::Ret(Some(v)) => {
-                    used.insert(*v);
+                Terminator::CondBr { cond: v, .. } | Terminator::Ret(Some(v)) => {
+                    used[v.index()] = true;
                 }
                 _ => {}
             }
@@ -32,7 +28,7 @@ pub fn dce(f: &mut Function) -> usize {
             for &v in &f.block(b).insts {
                 let Some(inst) = f.as_inst(v) else { continue };
                 let pure = !matches!(inst, Inst::Store { .. });
-                if pure && !used.contains(&v) {
+                if pure && !used[v.index()] {
                     dead.push((b, v));
                 }
             }

@@ -15,7 +15,7 @@ use crate::codegen::{codegen_accel, codegen_baseline, CodegenError, CodegenOptio
 use crate::dyser::region::{select_regions, RegionOptions};
 use crate::dyser::shapes::{classify_loops, ShapeReport};
 use crate::ir::Function;
-use crate::opt::{cleanup, if_convert, licm, unroll_innermost, PassSpec, UnrollOutcome};
+use crate::opt::{cleanup, if_convert, licm, unroll_innermost, Pass, PassSpec, UnrollOutcome};
 use crate::schedule::{schedule_region, Schedule, ScheduleError, ScheduleOptions};
 
 /// Options for the whole pipeline.
@@ -130,121 +130,169 @@ impl From<CodegenError> for CompileError {
     }
 }
 
+/// The outcome of one [`compile_attempt`].
+#[derive(Debug)]
+pub enum Attempt {
+    /// Every selected region mapped at the requested unroll factor, or
+    /// the factor was already 1.
+    Compiled(CompiledProgram),
+    /// A region did not map at a factor above 1. Compiling the attempted
+    /// options is exactly compiling these, which ask for half the factor.
+    Lowered(CompilerOptions),
+}
+
 /// Compiles `f` into baseline and accelerated programs.
+///
+/// The compiler picks the largest unroll factor, up to the one `options`
+/// asks for, at which the spatial scheduler maps every region, halving
+/// on failure (the prototype's compiler applies the same resource-driven
+/// degradation): this drives [`compile_attempt`] until it compiles.
 ///
 /// # Errors
 ///
 /// Returns an error when code generation fails; scheduling failures
 /// degrade gracefully (the region is left on the core and reported).
 pub fn compile(f: &Function, options: &CompilerOptions) -> Result<CompiledProgram, CompileError> {
-    let shapes = classify_loops(f);
+    let mut attempt = compile_attempt(f, options)?;
+    loop {
+        match attempt {
+            Attempt::Compiled(program) => return Ok(program),
+            Attempt::Lowered(lowered) => attempt = compile_attempt(f, &lowered)?,
+        }
+    }
+}
 
+/// Compiles `f` at the one unroll factor `options` asks for: the
+/// `unroll_factor` knob, or the largest `unroll` pass of a declarative
+/// middle end. When a region does not map and that factor is above 1,
+/// returns the options for half the factor instead of a program, so a
+/// caller that memoises by options ([`compile`] does not) can share one
+/// result between the two.
+///
+/// # Errors
+///
+/// As [`compile`].
+pub fn compile_attempt(f: &Function, options: &CompilerOptions) -> Result<Attempt, CompileError> {
     let kinds: Vec<FuKind> = options.kinds.clone().unwrap_or_else(|| {
         options.geometry.fus().map(|fu| FuKind::default_pattern(fu.row, fu.col)).collect()
     });
+    let factor = requested_factor(options);
 
-    // The compiler picks the largest unroll factor whose compute slice the
-    // spatial scheduler can map, halving on failure — the prototype's
-    // compiler applies the same resource-driven degradation.
-    let requested_factor = match &options.middle_end {
+    // Shared middle end: both binaries see the same optimised IR.
+    let mut opt = f.clone();
+    let mut region_opts = options.region;
+    match &options.middle_end {
+        Some(spec) => {
+            for pass in spec.passes() {
+                if let Pass::Unroll(n) = pass {
+                    // At factor 1 every unroll pass is off; otherwise none
+                    // unrolls past the factor.
+                    if factor > 1 {
+                        if let UnrollOutcome::Unrolled { body, .. } =
+                            unroll_innermost(&mut opt, (*n).min(factor).max(2))
+                        {
+                            region_opts.only_block = Some(body);
+                        }
+                    }
+                } else {
+                    PassSpec::from_passes(vec![pass.clone()]).apply(&mut opt);
+                }
+            }
+        }
+        None => {
+            if options.if_convert {
+                if_convert(&mut opt);
+            }
+            licm(&mut opt);
+            cleanup(&mut opt);
+            if factor > 1 {
+                if let UnrollOutcome::Unrolled { body, .. } = unroll_innermost(&mut opt, factor) {
+                    region_opts.only_block = Some(body);
+                }
+                cleanup(&mut opt);
+            }
+        }
+    }
+
+    let mut reports = Vec::new();
+    let mut scheduled: Vec<(crate::dyser::region::Region, Schedule)> = Vec::new();
+    let mut any_unmapped = false;
+    for region in select_regions(&opt, &region_opts) {
+        let report_base = RegionReport {
+            name: region.name.clone(),
+            compute_ops: region.compute.len(),
+            inputs: region.inputs.len(),
+            outputs: region.outputs.len(),
+            exit_condition_offloaded: region.exit_condition_offloaded,
+            fate: RegionFate::Accelerated,
+        };
+        match schedule_region(&opt, &region, options.geometry, &kinds, &options.schedule) {
+            Ok(schedule) => {
+                scheduled.push((region, schedule));
+                reports.push(report_base);
+            }
+            Err(e) => {
+                any_unmapped = true;
+                reports.push(RegionReport { fate: RegionFate::Unmapped(e), ..report_base });
+            }
+        }
+    }
+
+    if any_unmapped && factor > 1 {
+        return Ok(Attempt::Lowered(with_factor(options, factor / 2)));
+    }
+
+    let baseline = codegen_baseline(&opt)?;
+    let accelerated_any = !scheduled.is_empty();
+    let accelerated = if accelerated_any {
+        codegen_accel(&opt, scheduled, options.codegen)?
+    } else {
+        baseline.clone()
+    };
+    Ok(Attempt::Compiled(CompiledProgram {
+        baseline,
+        accelerated,
+        regions: reports,
+        shapes: classify_loops(f),
+        accelerated_any,
+    }))
+}
+
+/// The unroll factor `options` asks for, at least 1.
+fn requested_factor(options: &CompilerOptions) -> usize {
+    let requested = match &options.middle_end {
         Some(spec) => spec
             .passes()
             .iter()
             .filter_map(|p| match p {
-                crate::opt::Pass::Unroll(n) => Some(*n),
+                Pass::Unroll(n) => Some(*n),
                 _ => None,
             })
             .max()
             .unwrap_or(1),
         None => options.unroll_factor,
     };
-    let mut factor = requested_factor.max(1);
-    loop {
-        // Shared middle end: both binaries see the same optimised IR.
-        let mut opt = f.clone();
-        let mut region_opts = options.region;
-        match &options.middle_end {
-            Some(spec) => {
-                // Re-scale any unroll passes by the current fallback factor.
-                let scaled: Vec<crate::opt::Pass> = spec
-                    .passes()
-                    .iter()
-                    .map(|p| match p {
-                        crate::opt::Pass::Unroll(n) => {
-                            crate::opt::Pass::Unroll((*n).min(factor).max(2))
-                        }
-                        other => other.clone(),
-                    })
-                    .collect();
-                for pass in &scaled {
-                    if let crate::opt::Pass::Unroll(n) = pass {
-                        if factor > 1 {
-                            if let UnrollOutcome::Unrolled { body, .. } =
-                                unroll_innermost(&mut opt, *n)
-                            {
-                                region_opts.only_block = Some(body);
-                            }
-                        }
-                    } else {
-                        let single = PassSpec::from_passes(vec![pass.clone()]);
-                        single.apply(&mut opt);
-                    }
-                }
-            }
-            None => {
-                if options.if_convert {
-                    if_convert(&mut opt);
-                }
-                licm(&mut opt);
-                cleanup(&mut opt);
-                if factor > 1 {
-                    if let UnrollOutcome::Unrolled { body, .. } = unroll_innermost(&mut opt, factor)
-                    {
-                        region_opts.only_block = Some(body);
-                    }
-                    cleanup(&mut opt);
-                }
-            }
-        }
+    requested.max(1)
+}
 
-        let mut reports = Vec::new();
-        let mut scheduled: Vec<(crate::dyser::region::Region, Schedule)> = Vec::new();
-        let mut any_unmapped = false;
-        for region in select_regions(&opt, &region_opts) {
-            let report_base = RegionReport {
-                name: region.name.clone(),
-                compute_ops: region.compute.len(),
-                inputs: region.inputs.len(),
-                outputs: region.outputs.len(),
-                exit_condition_offloaded: region.exit_condition_offloaded,
-                fate: RegionFate::Accelerated,
-            };
-            match schedule_region(&opt, &region, options.geometry, &kinds, &options.schedule) {
-                Ok(schedule) => {
-                    scheduled.push((region, schedule));
-                    reports.push(report_base);
-                }
-                Err(e) => {
-                    any_unmapped = true;
-                    reports.push(RegionReport { fate: RegionFate::Unmapped(e), ..report_base });
-                }
-            }
+/// `options` asking for `factor`, which is below the factor they ask
+/// for, with nothing else changed: the `unroll_factor` knob, or a
+/// middle end whose unroll passes run as [`compile_attempt`] runs them
+/// at `factor` (none at factor 1).
+fn with_factor(options: &CompilerOptions, factor: usize) -> CompilerOptions {
+    let mut lowered = options.clone();
+    match &mut lowered.middle_end {
+        Some(spec) => {
+            let passes = spec.passes().iter().filter_map(|p| match p {
+                Pass::Unroll(_) if factor == 1 => None,
+                Pass::Unroll(n) => Some(Pass::Unroll((*n).min(factor).max(2))),
+                other => Some(other.clone()),
+            });
+            *spec = PassSpec::from_passes(passes.collect());
         }
-
-        if any_unmapped && factor > 1 {
-            factor /= 2;
-            continue;
-        }
-
-        let baseline = codegen_baseline(&opt)?;
-        let accelerated_any = !scheduled.is_empty();
-        let accelerated = if accelerated_any {
-            codegen_accel(&opt, scheduled, options.codegen)?
-        } else {
-            baseline.clone()
-        };
-        return Ok(CompiledProgram { baseline, accelerated, regions: reports, shapes, accelerated_any });
+        None => lowered.unroll_factor = factor,
     }
+    lowered
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 use std::collections::HashMap;
 
 use dyser_fabric::{
-    BuildError, ConfigBuilder, FabricConfig, FabricConfigError, FabricGeometry, FuId, FuKind,
-    FuOp, ValueId,
+    BuildError, BuildScratch, ConfigBuilder, FabricConfig, FabricConfigError, FabricGeometry,
+    FuId, FuKind, FuOp, ValueId,
 };
 use dyser_isa::Port;
 use dyser_rng::Rng64;
@@ -285,15 +285,26 @@ pub fn schedule_region(
     builder.set_name(region.name.clone());
     let (input_ports, output_ports, op_nodes) = build_graph(f, region, &mut builder)?;
 
-    // Greedy first.
-    let mut best = builder.build().map_err(ScheduleError::Unmappable);
+    // Greedy first. Every build of the region reuses one set of placer
+    // buffers, and only a configuration about to be kept is validated.
+    let mut scratch = BuildScratch::default();
+    let mut best = builder
+        .build_within(&mut scratch, usize::MAX)
+        .and_then(|greedy| {
+            let greedy = greedy.expect("an unbounded build completes");
+            greedy.validate()?;
+            Ok(greedy)
+        })
+        .map_err(ScheduleError::Unmappable);
     let mut best_cost = best.as_ref().ok().map(config_cost);
 
     // Random-restart refinement: hint a random subset of ops to random
     // sites (the builder passes over taken or incompatible ones), keep
     // improvements. Hints only move ops between sites, so a graph that
     // fails the capacity check fails every round and the greedy error
-    // stands.
+    // stands. A round draws its hints before it builds, and its build
+    // stops once it cannot cost less than the best so far, so the
+    // bound changes neither the random stream nor which candidate wins.
     if builder.fits() {
         let mut rng = Rng64::seed_from_u64(options.seed);
         let sites: Vec<FuId> = geometry.fus().collect();
@@ -304,10 +315,11 @@ pub fn schedule_region(
                     builder.hint(node, sites[rng.gen_range(0..sites.len())]);
                 }
             }
-            if let Ok(candidate) = builder.build() {
-                let cost = config_cost(&candidate);
-                if best_cost.is_none_or(|b| cost < b) {
-                    best_cost = Some(cost);
+            // A build the bound lets finish costs less than the best.
+            let bound = best_cost.unwrap_or(usize::MAX);
+            if let Ok(Some(candidate)) = builder.build_within(&mut scratch, bound) {
+                if candidate.validate().is_ok() {
+                    best_cost = Some(config_cost(&candidate));
                     best = Ok(candidate);
                 }
             }

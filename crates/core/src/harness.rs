@@ -15,7 +15,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 use dyser_compiler::{
-    compile, CompileError, CompiledProgram, CompilerOptions, Function, Program, RegionReport,
+    compile_attempt, Attempt, CompileError, CompiledProgram, CompilerOptions, Function, Program,
+    RegionReport,
 };
 use dyser_fabric::{FabricGeometry, FuKind};
 use dyser_isa::InstrClass;
@@ -373,6 +374,14 @@ static COMPILE_CACHE: OnceLock<CompileCache> = OnceLock::new();
 /// on the same key waits and shares the first result. A poisoned slot
 /// (a compile that panicked) is recovered and compiled afresh.
 ///
+/// A key makes one [`compile_attempt`] at its own unroll factor. When a
+/// region does not map there, compiling the key is exactly compiling the
+/// key with half the factor, so its result is that key's, taken through
+/// its slot (and compiled there if it is new) while the first slot stays
+/// locked. Slots are waited on only from a higher factor to a lower one,
+/// never the reverse, so racing callers cannot deadlock, and the halving
+/// rule stays in the compiler.
+///
 /// # Errors
 ///
 /// Propagates [`CompileError`]; failures are not cached, so the next
@@ -399,13 +408,18 @@ pub fn compile_cached(
         return Ok(Arc::clone(hit));
     }
     cache.misses.fetch_add(1, Ordering::Relaxed);
-    let compiled = Arc::new(compile(function, options)?);
+    let compiled = match compile_attempt(function, options)? {
+        Attempt::Compiled(program) => Arc::new(program),
+        Attempt::Lowered(lowered) => compile_cached(function, &lowered)?,
+    };
     *entry = Some(Arc::clone(&compiled));
     Ok(compiled)
 }
 
 /// How many compilations [`compile_cached`] has run in this process: one
-/// per key it compiled, plus one per failed attempt.
+/// per key it compiled, keys reached by lowering an unroll factor
+/// included, plus one per failed attempt. A key that lowers to a key
+/// already compiled counts once.
 #[must_use]
 pub fn compile_cache_misses() -> u64 {
     COMPILE_CACHE.get().map_or(0, |c| c.misses.load(Ordering::Relaxed))

@@ -536,8 +536,9 @@ pub struct System {
     tracing: bool,
     /// Translated blocks for [`System::run_compiled`]; keyed by PC and
     /// validated against code-page write generations, so it never holds
-    /// stale text.
-    blocks: BlockCache,
+    /// stale text. Allocated by the first compiled run, so a system that
+    /// never runs compiled never builds it.
+    blocks: Option<BlockCache>,
 }
 
 impl System {
@@ -583,7 +584,7 @@ impl System {
             },
             config,
             tracing: false,
-            blocks: BlockCache::new(),
+            blocks: None,
         })
     }
 
@@ -676,18 +677,25 @@ impl System {
         self.state.coproc.configs = program.configs.clone();
         self.state.coproc.active = None;
         self.state.coproc.cache.clear();
-        self.state.cpu = Pipeline::new(program.entry);
+        self.state.cpu.reset(program.entry);
         self.state.kernel = ProxyKernel::new();
-        self.blocks.clear();
+        self.clear_blocks();
         Ok(())
     }
 
     /// Loads raw instruction words at `addr` and sets the entry there.
     pub fn load_raw(&mut self, addr: u64, words: &[u32]) {
         self.state.bus.memory.write_code(addr, words);
-        self.state.cpu = Pipeline::new(addr);
+        self.state.cpu.reset(addr);
         self.state.kernel = ProxyKernel::new();
-        self.blocks.clear();
+        self.clear_blocks();
+    }
+
+    /// Drops every translated block, if any were ever translated.
+    fn clear_blocks(&mut self) {
+        if let Some(blocks) = &mut self.blocks {
+            blocks.clear();
+        }
     }
 
     /// Writes the kernel arguments into `%o0..%o5`.
@@ -860,7 +868,7 @@ impl System {
             let used = self.state.cpu.stats().cycles - start;
             let sliced = self.state.advance_compiled(
                 max_cycles - used,
-                &mut self.blocks,
+                self.blocks.get_or_insert_with(BlockCache::new),
                 line_bytes,
                 &mut fabric_ticks,
             );
@@ -883,7 +891,8 @@ impl System {
     /// [`SpeedStats`]).
     pub fn speed_stats(&self) -> SpeedStats {
         let (decode_hits, decode_misses) = self.state.cpu.decode_cache_stats();
-        SpeedStats { decode_hits, decode_misses, blocks: self.blocks.stats() }
+        let blocks = self.blocks.as_ref().map(BlockCache::stats).unwrap_or_default();
+        SpeedStats { decode_hits, decode_misses, blocks }
     }
 
     /// Statistics so far.
@@ -941,6 +950,40 @@ mod tests {
         sys.set_args(&[1, 2, 3]);
         assert_eq!(sys.cpu().regs().read(regs::O0), 1);
         assert_eq!(sys.cpu().regs().read(regs::O2), 3);
+    }
+
+    /// Loading resets the core in place and empties the block cache, so
+    /// the speed counters of a reloaded system's run read as a fresh
+    /// system's do, on both engines. (The hierarchy and the fabric keep
+    /// their state across a load, so the run's own statistics may not.)
+    #[test]
+    fn a_reloaded_system_counts_speed_afresh() {
+        let mut asm = Assembler::new();
+        asm.push(Instr::mov_imm(regs::L0, 50));
+        asm.label("loop");
+        asm.push(Instr::alu(AluOp::Add, regs::O1, regs::O1, Op2::Imm(3)));
+        asm.push(Instr::alu(AluOp::SubCc, regs::L0, regs::L0, Op2::Imm(1)));
+        asm.branch(dyser_isa::ICond::Ne, "loop");
+        asm.push(Instr::Nop);
+        asm.push(Instr::Halt);
+        let code = asm.assemble().unwrap();
+        let run = |sys: &mut System, compiled: bool| {
+            sys.load_raw(0x10000, &code);
+            let stats = if compiled { sys.run_compiled(10_000) } else { sys.run(10_000) };
+            assert!(stats.unwrap().halted);
+            assert_eq!(sys.cpu().regs().read(regs::O1), 150, "registers start from zero");
+            let speed = sys.speed_stats();
+            (speed.decode_hits, speed.decode_misses, speed.blocks)
+        };
+        for compiled in [false, true] {
+            let fresh = run(&mut System::new(SystemConfig::default()), compiled);
+            let mut sys = System::new(SystemConfig::default());
+            run(&mut sys, !compiled);
+            assert_eq!(run(&mut sys, compiled), fresh, "compiled: {compiled}");
+            assert_eq!(run(&mut sys, compiled), fresh, "compiled: {compiled}, reloaded again");
+            let (decoded, translated) = (fresh.0 + fresh.1, fresh.2.hits + fresh.2.misses);
+            assert!(if compiled { translated > 0 } else { decoded > 0 && translated == 0 });
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! the placer keeps its state in dense arrays, undoes a failed candidate
 //! from a log instead of restoring a snapshot, reuses one set of search
 //! arrays for every route, and formats edge labels only for the error it
-//! returns.
+//! returns. [`ConfigBuilder::build_within`] serves the scheduler's
+//! refinement: it keeps those arrays in a caller-owned [`BuildScratch`]
+//! from one build to the next, skips validation, and gives up on a build
+//! as soon as it cannot beat the best cost so far.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -281,8 +284,72 @@ impl ConfigBuilder {
     /// Returns a [`BuildError`] if ports clash, arities mismatch, placement
     /// runs out of compatible units, or routing fails.
     pub fn build(&self) -> Result<FabricConfig, BuildError> {
-        Placer::new(self)?.run()
+        let cfg = self
+            .build_within(&mut BuildScratch::default(), usize::MAX)?
+            .expect("no build reaches an unbounded cost");
+        cfg.validate()?;
+        Ok(cfg)
     }
+
+    /// Places and routes like [`ConfigBuilder::build`], with two
+    /// differences for a caller that builds one graph many times and keeps
+    /// the cheapest result: the finished configuration is **not**
+    /// validated (validate the one you keep), and the build gives up with
+    /// `Ok(None)` once its cost, [`FabricConfig::configured_routes`], is
+    /// sure to reach `bound`.
+    ///
+    /// A build only ever adds route registers, and every edge still to
+    /// route (a non-constant operand of an unplaced operation, or an
+    /// unrouted output) needs a goal register of its own, so the
+    /// registers committed so far plus one per such edge never exceed the
+    /// finished cost. The build checks that sum before it starts and after
+    /// each placed operation and routed output; a build that completes
+    /// therefore costs less than `bound`. `scratch` keeps the placer's
+    /// buffers from one call to the next.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConfigBuilder::build`], except that a build stopped by the
+    /// bound returns `Ok(None)` instead of any later error, and no
+    /// [`BuildError::Invalid`] is returned.
+    pub fn build_within(
+        &self,
+        scratch: &mut BuildScratch,
+        bound: usize,
+    ) -> Result<Option<FabricConfig>, BuildError> {
+        Placer::new(self, scratch)?.run(bound)
+    }
+}
+
+/// The placer's buffers, kept by the caller of
+/// [`ConfigBuilder::build_within`] so that repeated builds of a graph
+/// reuse them: the route-owner table, the search's stamp, parent and queue
+/// arrays, the per-signal reach lists and the free-site heap. Any builder
+/// may use any scratch; each build resets what it reads.
+#[derive(Debug, Default)]
+pub struct BuildScratch {
+    /// Which signal (producer node index) occupies each route register,
+    /// or [`FREE`].
+    reg_owner: Vec<u32>,
+    /// States reached by each signal's committed routes, in no order.
+    signal_states: Vec<Vec<u32>>,
+    /// Placement of op nodes.
+    node_fu: Vec<Option<FuId>>,
+    /// Occupied FU sites, by FU index.
+    fu_used: Vec<bool>,
+    /// Changes made by the current candidate, oldest first.
+    undo: Vec<Undo>,
+    /// Search state, reused by every route: a switch has been reached by
+    /// the current search iff its stamp equals `epoch`, and then `parent`
+    /// holds, for the state it was first reached in, the state it was
+    /// reached from.
+    stamp: Vec<u32>,
+    epoch: u32,
+    parent: Vec<u32>,
+    queue: Vec<u32>,
+    /// Candidate sites of the operation being placed (see
+    /// `Placer::place_op`).
+    free: BinaryHeap<Reverse<u32>>,
 }
 
 // Route states pack a `(switch, arrival line)` pair as
@@ -337,6 +404,7 @@ impl Miss {
 }
 
 /// One change made by the candidate under trial.
+#[derive(Debug)]
 enum Undo {
     /// A route register was claimed.
     Claim(usize),
@@ -346,31 +414,16 @@ enum Undo {
 
 struct Placer<'a> {
     b: &'a ConfigBuilder,
+    s: &'a mut BuildScratch,
     cfg: FabricConfig,
-    /// Switch-grid row length (`cols + 1`).
-    stride: usize,
-    /// Which signal (producer node index) occupies each route register,
-    /// or [`FREE`].
-    reg_owner: Vec<u32>,
-    /// States reached by each signal's committed routes, in no order.
-    signal_states: Vec<Vec<u32>>,
-    /// Placement of op nodes.
-    node_fu: Vec<Option<FuId>>,
-    /// Occupied FU sites, by FU index.
-    fu_used: Vec<bool>,
-    /// Changes made by the current candidate, oldest first.
-    undo: Vec<Undo>,
-    /// Search scratch, reused by every route: a state has been reached by
-    /// the current search iff its stamp equals `epoch`, and then
-    /// `parent` holds the state it was reached from.
-    stamp: Vec<u32>,
-    epoch: u32,
-    parent: Vec<u32>,
-    queue: Vec<u32>,
+    /// Route registers claimed, the candidate under trial's included.
+    claimed: usize,
+    /// Edges not yet routed by a committed placement or output route.
+    unrouted: usize,
 }
 
 impl<'a> Placer<'a> {
-    fn new(b: &'a ConfigBuilder) -> Result<Self, BuildError> {
+    fn new(b: &'a ConfigBuilder, s: &'a mut BuildScratch) -> Result<Self, BuildError> {
         // Port sanity.
         let mut in_ports = vec![false; b.geom.input_ports()];
         for node in &b.nodes {
@@ -393,37 +446,48 @@ impl<'a> Placer<'a> {
             }
         }
         // Arity sanity.
+        let mut edges = b.outputs.len();
         for node in &b.nodes {
             if let Node::Op { op, args } = node {
                 if args.len() != op.arity() {
                     return Err(BuildError::ArityMismatch { op: *op, got: args.len() });
                 }
+                edges += args.iter().filter(|a| !matches!(b.nodes[a.0], Node::Const(_))).count();
             }
         }
         let mut cfg = FabricConfig::empty(b.geom);
         cfg.set_name(b.name.clone());
-        let states = b.geom.switch_count() * InDir::COUNT;
-        Ok(Placer {
-            b,
-            cfg,
-            stride: b.geom.cols() + 1,
-            reg_owner: vec![FREE; b.geom.switch_count() * OUT_DIRS],
-            signal_states: vec![Vec::new(); b.nodes.len()],
-            node_fu: vec![None; b.nodes.len()],
-            fu_used: vec![false; b.geom.fu_count()],
-            undo: Vec::new(),
-            stamp: vec![0; states],
-            epoch: 0,
-            parent: vec![ROOT; states],
-            queue: Vec::with_capacity(states),
-        })
+        let nodes = b.nodes.len();
+        s.reg_owner.clear();
+        s.reg_owner.resize(b.geom.switch_count() * OUT_DIRS, FREE);
+        s.signal_states.iter_mut().for_each(Vec::clear);
+        s.signal_states.resize_with(nodes, Vec::new);
+        s.node_fu.clear();
+        s.node_fu.resize(nodes, None);
+        s.fu_used.clear();
+        s.fu_used.resize(b.geom.fu_count(), false);
+        s.undo.clear();
+        // Stamps left by earlier builds are below the epoch, so they read
+        // as unreached.
+        s.stamp.resize(b.geom.switch_count(), 0);
+        s.parent.resize(b.geom.switch_count() * InDir::COUNT, ROOT);
+        Ok(Placer { b, s, cfg, claimed: 0, unrouted: edges })
     }
 
-    fn run(mut self) -> Result<FabricConfig, BuildError> {
+    /// Places every operation and routes every output, or gives up with
+    /// `Ok(None)` once the cost is sure to reach `bound` (see
+    /// [`ConfigBuilder::build_within`]).
+    fn run(mut self, bound: usize) -> Result<Option<FabricConfig>, BuildError> {
         let b = self.b;
+        if self.unrouted >= bound {
+            return Ok(None);
+        }
         for (idx, node) in b.nodes.iter().enumerate() {
             if let Node::Op { op, args } = node {
                 self.place_op(idx, *op, args)?;
+                if self.claimed + self.unrouted >= bound {
+                    return Ok(None);
+                }
             }
         }
         for (value, port) in &b.outputs {
@@ -432,6 +496,10 @@ impl<'a> Placer<'a> {
             self.route_signal(value.0, goal_sw, OutDir::ExtOut).map_err(|why| {
                 why.into_error(format!("value {} -> output port {port}", value.0))
             })?;
+            self.unrouted -= 1;
+            if self.claimed + self.unrouted >= bound {
+                return Ok(None);
+            }
         }
         for (vp, ports) in &b.vec_in {
             self.cfg.set_vec_in(*vp, ports.clone());
@@ -439,8 +507,7 @@ impl<'a> Placer<'a> {
         for (vp, ports) in &b.vec_out {
             self.cfg.set_vec_out(*vp, ports.clone());
         }
-        self.cfg.validate()?;
-        Ok(self.cfg)
+        Ok(Some(self.cfg))
     }
 
     /// Rough physical location of a node's output, for placement cost.
@@ -448,7 +515,7 @@ impl<'a> Placer<'a> {
         let sw = match &self.b.nodes[node] {
             Node::Input { port } => self.b.geom.input_port_switch(*port)?,
             Node::Const(_) => return None,
-            Node::Op { .. } => topo::fu_output_switch(self.node_fu[node]?),
+            Node::Op { .. } => topo::fu_output_switch(self.s.node_fu[node]?),
         };
         Some((sw.row as isize, sw.col as isize))
     }
@@ -461,19 +528,23 @@ impl<'a> Placer<'a> {
         // operations land on one of their first few sites.
         let geom = self.b.geom;
         let hint = self.b.hints.get(node).copied().flatten().filter(|&fu| geom.fu_valid(fu));
-        let arg_positions: Vec<(isize, isize)> =
-            args.iter().filter_map(|a| self.node_pos(a.0)).collect();
-        let mut free: BinaryHeap<Reverse<u32>> = geom
-            .fus()
-            .enumerate()
-            .filter(|&(_, fu)| self.site_open(fu, op))
-            .map(|(idx, fu)| {
+        let mut arg_positions = [(0, 0); 3];
+        let mut positioned = 0;
+        for pos in args.iter().filter_map(|a| self.node_pos(a.0)) {
+            arg_positions[positioned] = pos;
+            positioned += 1;
+        }
+        let arg_positions = &arg_positions[..positioned];
+        let mut free = std::mem::take(&mut self.s.free);
+        free.clear();
+        free.extend(geom.fus().enumerate().filter(|&(_, fu)| self.site_open(fu, op)).map(
+            |(idx, fu)| {
                 let (r, c) = (fu.row as isize, fu.col as isize);
                 let dist: isize =
                     arg_positions.iter().map(|(ar, ac)| (ar - r).abs() + (ac - c).abs()).sum();
                 Reverse((dist as u32) << 16 | idx as u32)
-            })
-            .collect();
+            },
+        ));
         let by_distance = std::iter::from_fn(|| {
             let Reverse(key) = free.pop()?;
             let idx = (key & 0xffff) as usize;
@@ -487,25 +558,29 @@ impl<'a> Placer<'a> {
             .then(|| [args[1], args[0]]);
         let orderings = std::iter::once(args).chain(swapped.as_ref().map(|s| &s[..]));
 
-        let mut last_miss = None;
-        for fu in hint.into_iter().chain(by_distance) {
+        let mut placed = Err(None);
+        'sites: for fu in hint.into_iter().chain(by_distance) {
             if !self.site_open(fu, op) {
                 continue;
             }
             for ordering in orderings.clone() {
                 match self.try_place_at(node, op, ordering, fu) {
-                    Ok(()) => return Ok(()),
-                    Err(miss) => last_miss = Some(miss),
+                    Ok(()) => {
+                        placed = Ok(());
+                        break 'sites;
+                    }
+                    Err(miss) => placed = Err(Some(miss)),
                 }
             }
         }
-        Err(last_miss.map_or(BuildError::Unplaceable { op }, Miss::into_error))
+        self.s.free = free;
+        placed.map_err(|miss| miss.map_or(BuildError::Unplaceable { op }, Miss::into_error))
     }
 
     /// Whether `fu` is unoccupied and its kind supports `op`.
     fn site_open(&self, fu: FuId, op: FuOp) -> bool {
         let idx = self.b.geom.fu_index(fu);
-        !self.fu_used[idx] && self.b.kinds[idx].supports(op)
+        !self.s.fu_used[idx] && self.b.kinds[idx].supports(op)
     }
 
     fn try_place_at(
@@ -516,6 +591,7 @@ impl<'a> Placer<'a> {
         fu: FuId,
     ) -> Result<(), Miss> {
         let mut operands = [OperandSrc::None; 3];
+        let mut routed = 0;
         for (slot, arg) in args.iter().enumerate() {
             match &self.b.nodes[arg.0] {
                 Node::Const(c) => operands[slot] = OperandSrc::Const(*c),
@@ -526,35 +602,34 @@ impl<'a> Placer<'a> {
                         return Err(Miss { value: arg.0, fu, slot, why });
                     }
                     operands[slot] = OperandSrc::Switch;
+                    routed += 1;
                 }
             }
         }
         // Committed: nothing before this point is rolled back again.
-        self.undo.clear();
+        self.s.undo.clear();
+        self.unrouted -= routed;
         self.cfg.set_fu(fu, FuConfig { op, operands });
-        self.fu_used[self.b.geom.fu_index(fu)] = true;
-        self.node_fu[node] = Some(fu);
+        self.s.fu_used[self.b.geom.fu_index(fu)] = true;
+        self.s.node_fu[node] = Some(fu);
         Ok(())
     }
 
     /// Undoes every change the current candidate made, newest first.
     fn rollback(&mut self) {
-        while let Some(step) = self.undo.pop() {
+        while let Some(step) = self.s.undo.pop() {
             match step {
                 Undo::Claim(reg) => {
-                    self.reg_owner[reg] = FREE;
-                    let sw = self.switch_id(reg / OUT_DIRS);
-                    self.cfg.switch_mut(sw).clear_source(OutDir::ALL[reg % OUT_DIRS]);
+                    self.s.reg_owner[reg] = FREE;
+                    self.claimed -= 1;
+                    let sources = self.cfg.switch_at_mut(reg / OUT_DIRS);
+                    sources.clear_source(OutDir::ALL[reg % OUT_DIRS]);
                 }
                 Undo::Reach(signal) => {
-                    self.signal_states[signal].pop();
+                    self.s.signal_states[signal].pop();
                 }
             }
         }
-    }
-
-    fn switch_id(&self, index: usize) -> SwitchId {
-        SwitchId { row: index / self.stride, col: index % self.stride }
     }
 
     /// Initial route state of a signal that has no committed routes yet.
@@ -564,7 +639,7 @@ impl<'a> Placer<'a> {
                 (self.b.geom.input_port_switch(*port).expect("validated port"), InDir::ExtIn)
             }
             Node::Op { .. } => {
-                let fu = self.node_fu[signal].ok_or_else(|| BuildError::Unroutable {
+                let fu = self.s.node_fu[signal].ok_or_else(|| BuildError::Unroutable {
                     edge: format!("value {signal} used before placement"),
                 })?;
                 (topo::fu_output_switch(fu), InDir::FuOut)
@@ -590,28 +665,34 @@ impl<'a> Placer<'a> {
         goal_dir: OutDir,
     ) -> Result<(), RouteMiss> {
         let goal = self.b.geom.switch_index(goal_sw);
-        if self.reg_owner[goal * OUT_DIRS + goal_dir.index()] != FREE {
+        if self.s.reg_owner[goal * OUT_DIRS + goal_dir.index()] != FREE {
             return Err(RouteMiss::GoalBusy);
         }
         // The search breaks shortest-path ties by seed order, so seeds go
         // in sorted to keep routing (and every downstream cycle count)
         // deterministic.
-        let fresh = self.signal_states[signal].is_empty();
-        self.queue.clear();
+        let fresh = self.s.signal_states[signal].is_empty();
+        self.s.queue.clear();
         if fresh {
             let seed = self.seed_state(signal).map_err(RouteMiss::Unsourced)?;
-            self.queue.push(seed);
+            self.s.queue.push(seed);
         } else {
-            self.queue.extend_from_slice(&self.signal_states[signal]);
-            self.queue.sort_unstable();
+            let s = &mut *self.s;
+            s.queue.extend_from_slice(&s.signal_states[signal]);
+            s.queue.sort_unstable();
         }
-        self.epoch += 1;
-        for &s in &self.queue {
-            self.stamp[s as usize] = self.epoch;
-            self.parent[s as usize] = ROOT;
+        if self.s.epoch == u32::MAX {
+            self.s.stamp.fill(0);
+            self.s.epoch = 0;
+        }
+        self.s.epoch += 1;
+        let s = &mut *self.s;
+        for &seed in &s.queue {
+            s.stamp[seed as usize / InDir::COUNT] = s.epoch;
+            s.parent[seed as usize] = ROOT;
         }
 
-        let goal_state = match self.queue.iter().find(|&&s| s as usize / InDir::COUNT == goal) {
+        let goal_state = match self.s.queue.iter().find(|&&s| s as usize / InDir::COUNT == goal) {
             Some(&seed) => seed as usize,
             None => self.search(goal)?,
         };
@@ -619,8 +700,8 @@ impl<'a> Placer<'a> {
         // Claim the final register, then walk parents claiming hop registers.
         self.claim(signal, goal * OUT_DIRS + goal_dir.index(), goal_state % InDir::COUNT);
         let mut cursor = goal_state;
-        while self.parent[cursor] != ROOT {
-            let prev = self.parent[cursor] as usize;
+        while self.s.parent[cursor] != ROOT {
+            let prev = self.s.parent[cursor] as usize;
             let taken = mirror_line(cursor % InDir::COUNT);
             self.claim(signal, prev / InDir::COUNT * OUT_DIRS + taken, prev % InDir::COUNT);
             self.reach(signal, cursor);
@@ -634,15 +715,20 @@ impl<'a> Placer<'a> {
         Ok(())
     }
 
-    /// Breadth-first search from the seeds in `queue` (already stamped)
-    /// for the first state at switch `goal` in queue order. Every state
-    /// is pushed once, by the first state to reach it, so the first goal
-    /// state pushed is the one a pop-time test would find first: the
-    /// search can stop there instead of draining the layer.
+    /// Breadth-first search from the seeds in `queue` (their switches
+    /// already stamped) for the first state at switch `goal` in queue
+    /// order. A state's moves depend on its switch alone, so a later state
+    /// at a switch could reach only what the first one already reached,
+    /// and no route the search returns passes through it: each switch is
+    /// pushed once, in the first state to reach it. The first goal state
+    /// pushed is then the one a pop-time test would find first, so the
+    /// search stops there instead of draining the layer.
     fn search(&mut self, goal: usize) -> Result<usize, RouteMiss> {
-        let (rows, cols, stride) = (self.b.geom.rows(), self.b.geom.cols(), self.stride);
+        let (rows, cols) = (self.b.geom.rows(), self.b.geom.cols());
+        let stride = cols + 1;
+        let s = &mut *self.s;
         let mut head = 0;
-        while let Some(&state) = self.queue.get(head) {
+        while let Some(&state) = s.queue.get(head) {
             head += 1;
             let sw = state as usize / InDir::COUNT;
             let (row, col) = (sw / stride, sw % stride);
@@ -655,19 +741,16 @@ impl<'a> Placer<'a> {
             ];
             for (d, next_sw) in neighbours.into_iter().enumerate() {
                 let Some(next_sw) = next_sw else { continue };
-                if self.reg_owner[sw * OUT_DIRS + d] != FREE {
+                if s.reg_owner[sw * OUT_DIRS + d] != FREE || s.stamp[next_sw] == s.epoch {
                     continue;
                 }
+                s.stamp[next_sw] = s.epoch;
                 let next = next_sw * InDir::COUNT + mirror_line(d);
-                if self.stamp[next] == self.epoch {
-                    continue;
-                }
-                self.stamp[next] = self.epoch;
-                self.parent[next] = state;
+                s.parent[next] = state;
                 if next_sw == goal {
                     return Ok(next);
                 }
-                self.queue.push(next as u32);
+                s.queue.push(next as u32);
             }
         }
         Err(RouteMiss::NoPath)
@@ -675,15 +758,16 @@ impl<'a> Placer<'a> {
 
     /// Drives register `reg` from input line `line` of its switch.
     fn claim(&mut self, signal: usize, reg: usize, line: usize) {
-        let sw = self.switch_id(reg / OUT_DIRS);
-        self.cfg.switch_mut(sw).set_source(OutDir::ALL[reg % OUT_DIRS], InDir::ALL[line]);
-        self.reg_owner[reg] = signal as u32;
-        self.undo.push(Undo::Claim(reg));
+        let sources = self.cfg.switch_at_mut(reg / OUT_DIRS);
+        sources.set_source(OutDir::ALL[reg % OUT_DIRS], InDir::ALL[line]);
+        self.s.reg_owner[reg] = signal as u32;
+        self.s.undo.push(Undo::Claim(reg));
+        self.claimed += 1;
     }
 
     fn reach(&mut self, signal: usize, state: usize) {
-        self.signal_states[signal].push(state as u32);
-        self.undo.push(Undo::Reach(signal));
+        self.s.signal_states[signal].push(state as u32);
+        self.s.undo.push(Undo::Reach(signal));
     }
 }
 
@@ -909,14 +993,12 @@ mod tests {
         assert_eq!(cfg.vec_out(0), &[0]);
     }
 
-    /// Seeded random graphs on 1x1 to 3x3 grids of three kind mixes:
-    /// whenever the capacity check fails, the graph builds neither
-    /// greedily nor under any of 20 random hint sets, and every graph that
-    /// builds passes the check. The check is what lets the scheduler skip
-    /// refinement without changing its result.
-    #[test]
-    fn capacity_check_holds_for_every_build() {
-        use dyser_rng::Rng64;
+    /// One placement hint: an operation and the site it is hinted to.
+    type Hint = (ValueId, FuId);
+
+    /// Seeded random case `case`: a graph on a 1x1 to 3x3 grid of one of
+    /// three kind mixes, and 20 random hint sets over its operations.
+    fn random_case(rng: &mut dyser_rng::Rng64, case: usize) -> (ConfigBuilder, Vec<Vec<Hint>>) {
         const OPS: [FuOp; 10] = [
             FuOp::IAdd,
             FuOp::ISub,
@@ -929,39 +1011,62 @@ mod tests {
             FuOp::Select,
             FuOp::PassA,
         ];
-        let mut rng = Rng64::seed_from_u64(0xF175);
-        let (mut refused, mut built) = (0, 0);
-        for case in 0..300 {
-            let g = FabricGeometry::new(rng.gen_range(1..4), rng.gen_range(1..4));
-            let kinds = match case % 3 {
-                0 => g.fus().map(|fu| FuKind::default_pattern(fu.row, fu.col)).collect(),
-                1 => vec![FuKind::IntSimple; g.fu_count()],
-                _ => vec![FuKind::Universal; g.fu_count()],
-            };
-            let mut b = ConfigBuilder::with_kinds(g, kinds).unwrap();
-            let mut values: Vec<ValueId> =
-                (0..rng.gen_range(1..4)).map(|p| b.input_value(p)).collect();
-            values.push(b.const_value(7));
-            let mut ops = Vec::new();
-            for _ in 0..rng.gen_range(1..2 * g.fu_count() + 2) {
-                let op = OPS[rng.gen_range(0..OPS.len())];
-                let args: Vec<ValueId> =
-                    (0..op.arity()).map(|_| values[rng.gen_range(0..values.len())]).collect();
-                let v = b.op(op, &args);
-                values.push(v);
-                ops.push(v);
-            }
-            b.output_value(*ops.last().unwrap(), 0);
-
-            let mut builds = usize::from(b.build().is_ok());
-            for _ in 0..20 {
-                b.clear_hints();
+        let g = FabricGeometry::new(rng.gen_range(1..4), rng.gen_range(1..4));
+        let kinds = match case % 3 {
+            0 => g.fus().map(|fu| FuKind::default_pattern(fu.row, fu.col)).collect(),
+            1 => vec![FuKind::IntSimple; g.fu_count()],
+            _ => vec![FuKind::Universal; g.fu_count()],
+        };
+        let mut b = ConfigBuilder::with_kinds(g, kinds).unwrap();
+        let mut values: Vec<ValueId> =
+            (0..rng.gen_range(1..4)).map(|p| b.input_value(p)).collect();
+        values.push(b.const_value(7));
+        let mut ops = Vec::new();
+        for _ in 0..rng.gen_range(1..2 * g.fu_count() + 2) {
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            let args: Vec<ValueId> =
+                (0..op.arity()).map(|_| values[rng.gen_range(0..values.len())]).collect();
+            let v = b.op(op, &args);
+            values.push(v);
+            ops.push(v);
+        }
+        b.output_value(*ops.last().unwrap(), 0);
+        let hint_sets = (0..20)
+            .map(|_| {
+                let mut hints = Vec::new();
                 for &v in &ops {
                     if rng.gen_bool(0.5) {
                         let row = rng.gen_range(0..g.rows());
-                        b.hint(v, FuId { row, col: rng.gen_range(0..g.cols()) });
+                        hints.push((v, FuId { row, col: rng.gen_range(0..g.cols()) }));
                     }
                 }
+                hints
+            })
+            .collect();
+        (b, hint_sets)
+    }
+
+    /// Replaces `b`'s hints with `hints`.
+    fn set_hints(b: &mut ConfigBuilder, hints: &[Hint]) {
+        b.clear_hints();
+        for &(v, fu) in hints {
+            b.hint(v, fu);
+        }
+    }
+
+    /// The 300 random cases: whenever the capacity check fails, the graph
+    /// builds neither greedily nor under any of its hint sets, and every
+    /// graph that builds passes the check. The check is what lets the
+    /// scheduler skip refinement without changing its result.
+    #[test]
+    fn capacity_check_holds_for_every_build() {
+        let mut rng = dyser_rng::Rng64::seed_from_u64(0xF175);
+        let (mut refused, mut built) = (0, 0);
+        for case in 0..300 {
+            let (mut b, hint_sets) = random_case(&mut rng, case);
+            let mut builds = usize::from(b.build().is_ok());
+            for hints in &hint_sets {
+                set_hints(&mut b, hints);
                 builds += usize::from(b.build().is_ok());
             }
             assert!(b.fits() || builds == 0, "case {case}: {builds} builds of an unfittable graph");
@@ -973,6 +1078,60 @@ mod tests {
             }
         }
         assert!(refused > 30 && built > 30, "exercised: {refused} refused, {built} built");
+    }
+
+    /// The 300 random cases, refined the scheduler's way (keep the
+    /// cheapest of the greedy build and one build per hint set): bounding
+    /// each build by the best cost so far and validating only the builds
+    /// about to be kept adopts what building and validating every
+    /// candidate, then comparing, adopts.
+    #[test]
+    fn bounded_refinement_adopts_what_building_every_candidate_adopts() {
+        let mut rng = dyser_rng::Rng64::seed_from_u64(0xF175);
+        let (mut stopped, mut improved) = (0, 0);
+        for case in 0..300 {
+            let (mut b, hint_sets) = random_case(&mut rng, case);
+
+            // The reference: the loop before builds were bounded.
+            let mut reference = b.build();
+            let mut reference_cost = reference.as_ref().ok().map(FabricConfig::configured_routes);
+            for hints in &hint_sets {
+                set_hints(&mut b, hints);
+                if let Ok(candidate) = b.build() {
+                    let cost = candidate.configured_routes();
+                    if reference_cost.is_none_or(|best| cost < best) {
+                        reference_cost = Some(cost);
+                        reference = Ok(candidate);
+                    }
+                }
+            }
+
+            b.clear_hints();
+            let mut scratch = BuildScratch::default();
+            let mut best = b.build_within(&mut scratch, usize::MAX).and_then(|greedy| {
+                let greedy = greedy.expect("an unbounded build completes");
+                greedy.validate()?;
+                Ok(greedy)
+            });
+            for hints in &hint_sets {
+                set_hints(&mut b, hints);
+                let bound = best.as_ref().map_or(usize::MAX, FabricConfig::configured_routes);
+                match b.build_within(&mut scratch, bound) {
+                    Ok(Some(candidate)) => {
+                        let cost = candidate.configured_routes();
+                        assert!(cost < bound, "case {case}: a completed build costs {cost}");
+                        if candidate.validate().is_ok() {
+                            best = Ok(candidate);
+                            improved += 1;
+                        }
+                    }
+                    Ok(None) => stopped += 1,
+                    Err(_) => {}
+                }
+            }
+            assert_eq!(best, reference, "case {case}");
+        }
+        assert!(stopped > 1000 && improved > 30, "exercised: {stopped} stopped, {improved} kept");
     }
 
     #[test]

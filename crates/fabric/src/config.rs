@@ -473,6 +473,12 @@ impl FabricConfig {
         &mut self.switches[idx]
     }
 
+    /// Mutable access to the switch configuration at row-major switch
+    /// index `index` ([`FabricGeometry::switch_index`]).
+    pub(crate) fn switch_at_mut(&mut self, index: usize) -> &mut SwitchConfig {
+        &mut self.switches[index]
+    }
+
     /// The FU configuration at `fu`, if configured.
     pub fn fu(&self, fu: FuId) -> Option<&FuConfig> {
         self.fus[self.geometry.fu_index(fu)].as_ref()

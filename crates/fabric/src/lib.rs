@@ -54,7 +54,7 @@ pub mod geom;
 pub mod op;
 pub mod stats;
 
-pub use builder::{BuildError, ConfigBuilder, ValueId};
+pub use builder::{BuildError, BuildScratch, ConfigBuilder, ValueId};
 pub use config::{
     ConfigError, FabricConfig, FabricConfigError, FuConfig, InDir, OperandSrc, OutDir,
     SwitchConfig,

@@ -111,6 +111,9 @@ enum Pending {
 /// self-modifying code decodes correctly.
 const DECODE_SLOTS: usize = 1024;
 
+/// A decode-cache slot that holds no entry.
+const EMPTY_DECODE: (u64, u32, Instr) = (u64::MAX, 0, Instr::Nop);
+
 /// The in-order, single-issue core.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -152,6 +155,24 @@ pub struct Pipeline {
 impl Pipeline {
     /// Creates a core that will start fetching at `entry`.
     pub fn new(entry: u64) -> Self {
+        Self::with_decode_cache(entry, vec![EMPTY_DECODE; DECODE_SLOTS])
+    }
+
+    /// Returns the core to the state [`Pipeline::new`] creates, fetching
+    /// at `entry` (tracing off), keeping the decode cache's allocation.
+    /// Only a decode miss fills a slot, so a cache that never missed
+    /// since the last reset is still empty and is not swept again.
+    pub fn reset(&mut self, entry: u64) {
+        let mut decoded = std::mem::take(&mut self.decoded);
+        if self.decode_misses > 0 {
+            decoded.fill(EMPTY_DECODE);
+        }
+        *self = Self::with_decode_cache(entry, decoded);
+    }
+
+    /// A fresh core over an empty decode cache of `DECODE_SLOTS` slots.
+    fn with_decode_cache(entry: u64, decoded: Vec<(u64, u32, Instr)>) -> Self {
+        debug_assert_eq!(decoded.len(), DECODE_SLOTS);
         Pipeline {
             pc: entry,
             npc: entry + 4,
@@ -166,7 +187,7 @@ impl Pipeline {
             pending_syscall: None,
             stats: CoreStats::default(),
             simcall_log: Vec::new(),
-            decoded: vec![(u64::MAX, 0, Instr::Nop); DECODE_SLOTS],
+            decoded,
             decode_hits: 0,
             decode_misses: 0,
             tracer: None,
