@@ -923,8 +923,10 @@ fn mark_pareto(records: &mut [DseRecord]) {
 /// maps no region) is replayed for every other geometry, FU mix and FIFO
 /// depth, and a DySER leg wherever its program runs again on the same
 /// fabric and memory preset (an unroll factor the compiler lowered to
-/// one already swept). The report is byte-identical to simulating every
-/// leg ([`run_dse_with`] over [`dyser_core::run_kernel`]).
+/// one already swept), at its own FIFO depth or at another depth its run
+/// cannot tell apart (see [`LegMemo`]). The report is byte-identical to
+/// simulating every leg ([`run_dse_with`] over
+/// [`dyser_core::run_kernel`]).
 ///
 /// # Errors
 ///
@@ -1164,18 +1166,35 @@ mod tests {
         }
     }
 
+    /// The FIFO high-water mark of `point`'s DySER leg, run afresh.
+    fn dyser_mark(kernel: &Kernel, point: &DsePoint, n: usize) -> usize {
+        let rc = point.run_config(kernel, None).expect("valid point");
+        let case = kernel.case(n, SEED);
+        let compiled = compile_cached(&case.function, &rc.compiler).expect("compiles");
+        let mut sys = dyser_core::System::new(rc.system.clone());
+        sys.load_program(&compiled.accelerated).expect("loads");
+        for (addr, words) in &case.init {
+            sys.memory_mut().write_u64_slice(*addr, words);
+        }
+        sys.set_args(&case.args);
+        sys.run(rc.max_cycles).expect("runs");
+        sys.fabric().expect("a fabric is attached").fifo_high_water()
+    }
+
     /// One memo per sweep replays legs without changing a byte: `run_dse`
     /// must equal simulating every leg afresh, on a plan whose scalar
     /// legs repeat across geometries, FU mixes, FIFO depths, memory
     /// presets and unroll factors, whose DySER legs repeat across unroll
-    /// factors the compiler lowers, and where some points map no region.
+    /// factors the compiler lowers and across FIFO depths their runs never
+    /// fill, and whose DySER legs also run at depths their FIFOs do fill,
+    /// which the memo must simulate afresh. Some points map no region.
     #[test]
     fn memoised_sweep_matches_fresh_legs() {
         let plan = DsePlan {
             kernels: vec!["poly6".into()],
             dims: vec![2, 4],
             mixes: FuMix::ALL.to_vec(),
-            fifos: vec![1, 4],
+            fifos: vec![1, 2, 4, 8],
             mems: vec![MemPreset::Default, MemPreset::Tiny],
             unrolls: vec![1, 2],
             n: 24,
@@ -1204,6 +1223,29 @@ mod tests {
             !a.configs.is_empty() && a.code == b.code && a.pool == b.pool && a.configs == b.configs
         });
         assert!(repeated, "no survivor's DySER program repeats across unroll factors");
+        // Survivors whose DySER leg uses the fabric, by every knob but the
+        // FIFO depth, with each depth's mark. A stored run `(d0, m)`
+        // replays at `d` when `m < d0` and `m < d`.
+        let mut marks: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+        let mapped = fresh.records.iter().map(|r| &r.point);
+        for p in mapped.filter(|p| !dyser_program(p).accelerated.configs.is_empty()) {
+            let group = DsePoint { fifo_depth: 0, ..p.clone() }.to_string();
+            marks.entry(group).or_default().push((p.fifo_depth, dyser_mark(&kernel, p, plan.n)));
+        }
+        let replays = |(d0, m): (usize, usize), d: usize| m < d0 && m < d;
+        let pairs = || {
+            marks
+                .values()
+                .flat_map(|runs| runs.iter().flat_map(move |&a| runs.iter().map(move |&b| (a, b))))
+        };
+        assert!(
+            pairs().any(|(a, b)| a.0 != b.0 && replays(a, b.0)),
+            "no DySER leg replays across FIFO depths"
+        );
+        assert!(
+            pairs().any(|(a, b)| a.0 != b.0 && !replays(a, b.0) && !replays(b, a.0)),
+            "no FIFO depth sends a DySER leg to a fresh simulation"
+        );
         assert_eq!(run_dse(&plan).expect("memoised sweep").to_json(), fresh.to_json());
     }
 

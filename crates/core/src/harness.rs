@@ -18,7 +18,7 @@ use dyser_compiler::{
     compile_attempt, Attempt, CompileError, CompiledProgram, CompilerOptions, Function, Program,
     RegionReport,
 };
-use dyser_fabric::{FabricGeometry, FuKind};
+use dyser_fabric::{Fabric, FabricGeometry, FuKind};
 use dyser_isa::InstrClass;
 use dyser_mem::MemConfig;
 use dyser_trace::TraceRun;
@@ -307,6 +307,21 @@ pub fn run_program_traced(
     config: &RunConfig,
     trace_capacity: usize,
 ) -> Result<RunArtifacts, HarnessError> {
+    run_program_marked(which, program, args, init, expected, config, trace_capacity)
+        .map(|(run, _)| run)
+}
+
+/// [`run_program_traced`], also returning the run's FIFO high-water mark
+/// ([`Fabric::fifo_high_water`]; 0 without a fabric).
+fn run_program_marked(
+    which: &'static str,
+    program: &Program,
+    args: &[u64],
+    init: &[(u64, Vec<u64>)],
+    expected: &[(u64, Vec<u64>)],
+    config: &RunConfig,
+    trace_capacity: usize,
+) -> Result<(RunArtifacts, usize), HarnessError> {
     let mut sys =
         System::try_new(config.system.clone()).map_err(|source| HarnessError::Run { which, source })?;
     sys.load_program(program)
@@ -317,7 +332,8 @@ pub fn run_program_traced(
     sys.try_set_args(args).map_err(|source| HarnessError::Run { which, source })?;
     let (stats, trace) = run_loaded(&mut sys, which, config, trace_capacity)?;
     verify_expected(&sys, expected, which)?;
-    Ok(RunArtifacts { stats, speed: sys.speed_stats(), trace })
+    let mark = sys.fabric().map_or(0, Fabric::fifo_high_water);
+    Ok((RunArtifacts { stats, speed: sys.speed_stats(), trace }, mark))
 }
 
 /// Runs one already-compiled program (IR not required — manual DySER
@@ -585,9 +601,9 @@ impl<T> Interner<T> {
     }
 }
 
-/// Everything a leg's run reads, with its program and case as interned
-/// ids. Whether a fabric is attached stays even for a scalar leg, since
-/// an attached fabric counts its idle ticks.
+/// Everything a leg's run reads but its FIFO depth, with its program and
+/// case as interned ids. Whether a fabric is attached stays even for a
+/// scalar leg, since an attached fabric counts its idle ticks.
 #[derive(PartialEq, Eq, Hash)]
 struct LegKey {
     program: usize,
@@ -597,31 +613,64 @@ struct LegKey {
     max_cycles: u64,
     stepped: bool,
     engine: Backend,
-    /// Geometry, FIFO depth and FU kinds, for a leg that may touch the
-    /// fabric; `None` for a scalar leg ([`is_scalar`]), which runs the
-    /// same on every fabric.
-    fabric: Option<(FabricGeometry, usize, Option<Vec<FuKind>>)>,
+    /// Geometry and FU kinds, for a leg that may touch the fabric; `None`
+    /// for a scalar leg ([`is_scalar`]), which runs the same on every
+    /// fabric.
+    fabric: Option<(FabricGeometry, Option<Vec<FuKind>>)>,
 }
 
-/// One leg-memo entry; its lock is held while the leg simulates, like a
-/// [`compile_cached`] slot.
-type LegSlot = Arc<Mutex<Option<RunStats>>>;
+/// A verified run of one leg: the FIFO depth it ran at, its FIFO
+/// high-water mark ([`Fabric::fifo_high_water`]) and its stats.
+struct StoredRun {
+    depth: usize,
+    mark: usize,
+    stats: RunStats,
+}
+
+impl StoredRun {
+    /// Whether a run at `depth` is this run: at its own depth, or at any
+    /// depth above the mark when its own depth is above the mark too.
+    /// While the mark is below both depths, every capacity check answers
+    /// "not full" at both.
+    fn replays_at(&self, depth: usize) -> bool {
+        depth == self.depth || (self.mark < self.depth && self.mark < depth)
+    }
+}
+
+/// One leg-memo entry: the verified runs of a key, one per FIFO depth
+/// that no earlier run replays. Its lock is held while the leg simulates,
+/// like a [`compile_cached`] slot.
+type LegSlot = Arc<Mutex<Vec<StoredRun>>>;
 
 /// A memo of legs for one sweep: each distinct leg simulates once and is
 /// replayed wherever the sweep repeats it.
 ///
 /// [`LegMemo::run_kernel`] behaves like [`run_kernel`], so it never
-/// traces. Each leg is keyed on everything its run reads: the program's
-/// code, entry, pool and fabric configurations, the case's args, init and
-/// expected outputs, the memory hierarchy, whether a fabric is attached,
-/// the cycle cap, the stepped switch and the engine, plus the fabric
-/// geometry, FIFO depth and FU kinds when the program may touch the
+/// traces. Each leg is keyed on everything its run reads but the FIFO
+/// depth: the program's code, entry, pool and fabric configurations, the
+/// case's args, init and expected outputs, the memory hierarchy, whether a
+/// fabric is attached, the cycle cap, the stepped switch and the engine,
+/// plus the fabric geometry and FU kinds when the program may touch the
 /// fabric. A scalar program (no fabric configuration, no DySER-class
-/// instruction) therefore replays on every geometry, FU mix and FIFO
-/// depth. Because its key leaves the fabric out, a replay first runs
+/// instruction) therefore replays on every geometry and FU mix. Because
+/// its key leaves the fabric out, a replay first runs
 /// [`SystemConfig::validate`] on the requesting system, as building a
 /// `System` would; if that fails, the leg simulates afresh and fails
 /// exactly as an unmemoised run would.
+///
+/// A key's slot keeps each run's depth `d0` and FIFO high-water mark `m`
+/// ([`Fabric::fifo_high_water`]: the longest port FIFO a capacity check
+/// found). A request at depth `d` replays the run when `d == d0`, or when
+/// `m < d0` and `m < d`. That replay is exact: the depth enters a run only
+/// through those capacity checks, and while every FIFO they find is
+/// shorter than both depths they answer "not full" at both, so by
+/// induction over the run's events the two runs are one run, with the
+/// same mark. Any other depth simulates under the slot's lock and adds a
+/// run. A scalar leg's mark is 0, so it replays at every depth. Every depth
+/// at or below the mark of the depth-independent run needs its own run,
+/// and all deeper depths share one, whatever order they arrive in: on
+/// perfbench's `dse` plan this stores 276 legs instead of 412, and on
+/// `DsePlan::default()` 355 instead of 933.
 ///
 /// Programs and cases are interned by content, once per memo: a program
 /// is held through the compile result that owns it and a case as one
@@ -674,7 +723,7 @@ impl LegMemo {
     }
 
     /// The memo's state. Recovering from poison is sound: interning only
-    /// appends whole entries, and a slot holds `None` or verified stats.
+    /// appends whole entries, and a slot holds verified runs only.
     fn state(&self) -> MutexGuard<'_, MemoState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -685,8 +734,8 @@ impl LegMemo {
         self.state()
             .slots
             .values()
-            .filter(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).is_some())
-            .count()
+            .map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     fn leg(
@@ -698,7 +747,8 @@ impl LegMemo {
         case: &KernelCase,
         config: &RunConfig,
     ) -> Result<RunStats, HarnessError> {
-        let run = || run_program(which, program, &case.args, &case.init, &case.expected, config);
+        let (args, init, expected) = (&case.args, &case.init, &case.expected);
+        let run = || run_program_marked(which, program, args, init, expected, config, 0);
         let system = &config.system;
         let slot = {
             let mut state = self.state();
@@ -719,20 +769,25 @@ impl LegMemo {
                 max_cycles: config.max_cycles,
                 stepped: config.stepped,
                 engine: config.backend,
-                fabric: (!held.scalar)
-                    .then(|| (system.geometry, system.fifo_depth, system.kinds.clone())),
+                fabric: (!held.scalar).then(|| (system.geometry, system.kinds.clone())),
             };
             Arc::clone(state.slots.entry(key).or_default())
         };
-        let mut entry = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = entry.as_ref() {
+        let mut runs = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = runs.iter().find(|run| run.replays_at(system.fifo_depth)) {
             // A scalar key leaves the fabric out, so a system whose kinds
             // do not fit its grid could hit a leg stored on a sound one.
-            return if system.validate().is_ok() { Ok(hit.clone()) } else { run() };
+            return if system.validate().is_ok() {
+                Ok(hit.stats.clone())
+            } else {
+                run().map(|(artifacts, _)| artifacts.stats)
+            };
         }
-        let stats = run()?;
-        *entry = Some(stats.clone());
-        Ok(stats)
+        let (artifacts, mark) = run()?;
+        // Most keys keep one run; `push` alone would reserve room for four.
+        runs.reserve_exact(1);
+        runs.push(StoredRun { depth: system.fifo_depth, mark, stats: artifacts.stats.clone() });
+        Ok(artifacts.stats)
     }
 }
 
@@ -1112,9 +1167,18 @@ mod tests {
             fresh
         };
 
+        // The DySER leg's FIFO high-water mark, run afresh.
+        let mark = |rc: &RunConfig| {
+            let compiled = compile_cached(&case.function, &rc.compiler).unwrap();
+            let (args, init, expected) = (&case.args, &case.init, &case.expected);
+            run_program_marked("dyser", &compiled.accelerated, args, init, expected, rc, 0)
+                .unwrap()
+                .1
+        };
+
         // The scalar baseline leg simulates once, then replays on every
         // geometry, FU mix and FIFO depth. A DySER leg is keyed on its
-        // geometry, FIFO depth and FU kinds as well.
+        // geometry and FU kinds as well.
         let memo = LegMemo::default();
         for rc in [fabric(8, 8, false, 4), fabric(4, 4, true, 1), fabric(6, 8, false, 8)] {
             assert!(check(&memo, &rc).accelerated_any);
@@ -1123,12 +1187,28 @@ mod tests {
         let again = check(&memo, &fabric(8, 8, false, 4));
         assert!(again.dyser.fabric.fu_fires() > 0, "the fabric leg ran");
         assert_eq!(memo.stored_legs(), 4, "a repeated point replays both legs");
-        check(&memo, &fabric(8, 8, false, 2));
-        assert_eq!(memo.stored_legs(), 5, "another FIFO depth is another DySER leg");
+
+        // The stored depth-4 run found a FIFO holding one value, so it
+        // replays at every depth above 1 and simulates afresh at 1.
+        assert_eq!(mark(&fabric(8, 8, false, 4)), 1);
+        for depth in [2, 3, 8] {
+            check(&memo, &fabric(8, 8, false, depth));
+            assert_eq!(memo.stored_legs(), 4, "depth {depth}, above the mark, replays");
+        }
+        check(&memo, &fabric(8, 8, false, 1));
+        assert_eq!(memo.stored_legs(), 5, "a depth at the mark is another DySER leg");
+        // A depth-1 run with mark 1 found a FIFO full, so it replays at
+        // depth 1 only: depth 2 simulates, and then depth 3 replays that.
+        assert_eq!(mark(&fabric(4, 4, true, 1)), 1);
+        check(&memo, &fabric(4, 4, true, 2));
+        assert_eq!(memo.stored_legs(), 6, "a run at its mark replays no other depth");
+        check(&memo, &fabric(4, 4, true, 3));
+        assert_eq!(memo.stored_legs(), 6, "depth 3 replays the depth-2 run");
+
         let mut universal = fabric(8, 8, false, 4);
         universal.system.kinds = Some(vec![dyser_fabric::FuKind::Universal; 64]);
         check(&memo, &universal);
-        assert_eq!(memo.stored_legs(), 6, "other FU kinds are another DySER leg");
+        assert_eq!(memo.stored_legs(), 7, "other FU kinds are another DySER leg");
 
         // Kinds that cannot execute a configured op: the fresh run fails
         // to load the configuration, and so must the memo, though it
@@ -1149,7 +1229,7 @@ mod tests {
         short.system.kinds = Some(vec![dyser_fabric::FuKind::Universal; 3]);
         let err = same_error(&short);
         assert!(err.starts_with("baseline run: invalid system configuration"), "{err}");
-        assert_eq!(memo.stored_legs(), 6, "failed legs are not stored");
+        assert_eq!(memo.stored_legs(), 7, "failed legs are not stored");
 
         // A DySER leg that maps no region is the scalar program: it hits
         // the baseline leg's key.

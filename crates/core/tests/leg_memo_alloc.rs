@@ -61,13 +61,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Stored legs of one program: one per FIFO depth.
-const LEGS: usize = 64;
+/// Kernel runs that each store a baseline and a DySER leg: one per cycle
+/// cap. The cap is part of a leg's key, and every cap here is above the
+/// run's length, so each run simulates and verifies.
+const RUNS: usize = 32;
 
-/// Bytes one stored leg may retain: its slot and `RunStats` (about
-/// 0.6 KiB on x86-64) and its share of the key map (about 0.2 KiB). A copy
-/// of the DySER program's 122 code words alone would add 0.5 KiB, of its
-/// fabric configuration several KiB, and of the case arrays (three
+/// Stored legs.
+const LEGS: usize = 2 * RUNS;
+
+/// The cycle cap of the first run; run `i` gets `CAP + i`.
+const CAP: u64 = 1 << 20;
+
+/// Bytes one stored leg may retain: its slot and stored run (`RunStats`,
+/// FIFO depth and mark: about 0.6 KiB on x86-64) and its share of the key
+/// map (about 0.2 KiB). A copy of the DySER program's 122 code words alone
+/// would add 0.5 KiB to each DySER leg, 0.25 KiB over every stored leg, of
+/// its fabric configuration several KiB, and of the case arrays (three
 /// 256-word buffers) 6 KiB.
 const PER_LEG_BUDGET: usize = 1 << 10;
 
@@ -126,28 +135,27 @@ fn case(n: usize) -> KernelCase {
 #[test]
 fn stored_dyser_legs_hold_no_program_or_case_copies() {
     let case = case(256);
-    let config = |fifo_depth| {
-        let mut rc = RunConfig::default();
-        rc.system.fifo_depth = fifo_depth;
-        rc
-    };
+    let config = |run: usize| RunConfig { max_cycles: CAP + run as u64, ..RunConfig::default() };
     let memo = LegMemo::default();
     // The first run compiles the kernel and interns its programs and case.
-    let first = memo.run_kernel(&case, &config(1)).expect("verifies");
+    let first = memo.run_kernel(&case, &config(0)).expect("verifies");
     assert!(first.dyser.fabric.fu_fires() > 0, "the DySER leg uses the fabric");
+    assert!(first.baseline.cycles.max(first.dyser.cycles) < CAP, "every cap is above the run");
+    let stored = memo.stored_legs();
 
     let before = live();
-    for depth in 2..=LEGS + 1 {
-        memo.run_kernel(&case, &config(depth)).expect("verifies");
+    for run in 1..=RUNS {
+        memo.run_kernel(&case, &config(run)).expect("verifies");
     }
     let per_leg = (live() - before) / LEGS;
+    assert_eq!(memo.stored_legs() - stored, LEGS, "each run stores both of its legs");
 
     // Every leg was stored: replaying all of them builds no `System`.
     let before = allocated();
-    for depth in 2..=LEGS + 1 {
-        memo.run_kernel(&case, &config(depth)).expect("replays");
+    for run in 1..=RUNS {
+        memo.run_kernel(&case, &config(run)).expect("replays");
     }
-    let per_replay = (allocated() - before) / LEGS;
+    let per_replay = (allocated() - before) / RUNS;
 
     assert!(
         per_replay < REPLAY_BUDGET,
@@ -155,6 +163,7 @@ fn stored_dyser_legs_hold_no_program_or_case_copies() {
     );
     assert!(
         per_leg < PER_LEG_BUDGET,
-        "each stored DySER leg retains {per_leg} bytes, budget {PER_LEG_BUDGET}"
+        "each stored leg retains {per_leg} bytes, budget {PER_LEG_BUDGET}"
     );
+    assert!(per_leg > 0, "stored legs retain their stats");
 }

@@ -564,6 +564,9 @@ pub struct Fabric {
     geom: FabricGeometry,
     kinds: Vec<FuKind>,
     fifo_depth: usize,
+    /// The longest port FIFO a capacity check found (see
+    /// [`Fabric::fifo_high_water`]).
+    fifo_mark: usize,
     config_bus_bits: u64,
     cycle: u64,
     active: Option<Active>,
@@ -609,6 +612,7 @@ impl Fabric {
             geom,
             kinds,
             fifo_depth: DEFAULT_FIFO_DEPTH,
+            fifo_mark: 0,
             config_bus_bits: DEFAULT_CONFIG_BUS_BITS,
             cycle: 0,
             active: None,
@@ -628,6 +632,22 @@ impl Fabric {
         }
         self.fifo_depth = depth;
         Ok(())
+    }
+
+    /// The longest port FIFO that a capacity check has found since
+    /// construction: a [`Fabric::try_send`] on an input FIFO, or a route
+    /// register delivering into an output FIFO during [`Fabric::tick`].
+    /// Those two checks are the only reads of the FIFO depth on a
+    /// `System`'s run. [`Fabric::input_free`] reads it too, but only
+    /// fabric tests and the `custom_fabric` example call it, and it
+    /// leaves the mark alone.
+    ///
+    /// So a run whose mark stays below two depths is one run at both:
+    /// every check answers "not full" at either depth, and by induction
+    /// over the run's events the two runs move the same values on the
+    /// same cycles and end with the same mark.
+    pub fn fifo_high_water(&self) -> usize {
+        self.fifo_mark
     }
 
     /// Enables fabric event tracing (FU fires and port transfers) into a
@@ -760,7 +780,11 @@ impl Fabric {
         let depth = self.fifo_depth;
         let Some(active) = self.active.as_mut() else { return false };
         let Some(fifo) = active.in_fifos.get_mut(port) else { return false };
-        if fifo.len() >= depth {
+        let len = fifo.len();
+        if len > self.fifo_mark {
+            self.fifo_mark = len;
+        }
+        if len >= depth {
             return false;
         }
         fifo.push_back(value);
@@ -815,7 +839,9 @@ impl Fabric {
             .map_or(0, VecDeque::len)
     }
 
-    /// Free slots on input port `port`'s FIFO.
+    /// Free slots on input port `port`'s FIFO. Unlike
+    /// [`Fabric::try_send`], this does not move
+    /// [`Fabric::fifo_high_water`].
     pub fn input_free(&self, port: usize) -> usize {
         self.active
             .as_ref()
@@ -901,6 +927,7 @@ impl Fabric {
         self.stats.cycles += 1;
         let cycle = self.cycle;
         let fifo_depth = self.fifo_depth;
+        let fifo_mark = &mut self.fifo_mark;
         let stats = &mut self.stats;
         let mut tracer = self.tracer.as_deref_mut();
         let Some(active) = self.active.as_mut() else { return };
@@ -971,7 +998,11 @@ impl Fabric {
                     }
                     RegDest::Port { port } => {
                         let fifo = &mut out_fifos[port as usize];
-                        if fifo.len() < fifo_depth {
+                        let len = fifo.len();
+                        if len > *fifo_mark {
+                            *fifo_mark = len;
+                        }
+                        if len < fifo_depth {
                             fifo.push_back(value);
                             true
                         } else {
@@ -1245,6 +1276,36 @@ mod tests {
         }
         assert!(accepted < 32, "backpressure must eventually refuse sends");
         assert!(f.in_flight() > 0);
+    }
+
+    #[test]
+    fn fifo_high_water_tracks_both_capacity_checks() {
+        // Input side: each send checks the FIFO's length first, and the
+        // refused third send at depth 2 found it full.
+        let mut f = simple_add_fabric();
+        f.set_fifo_depth(2).unwrap();
+        assert_eq!(f.fifo_high_water(), 0);
+        assert!(f.try_send(0, 1));
+        assert_eq!(f.fifo_high_water(), 0, "the first send found the FIFO empty");
+        assert!(f.try_send(0, 2));
+        assert!(!f.try_send(0, 3));
+        assert_eq!(f.fifo_high_water(), 2);
+        assert_eq!(f.input_free(0), 0);
+        assert_eq!(f.fifo_high_water(), 2, "input_free leaves the mark alone");
+
+        // Output side: four spaced invocations each find the input FIFOs
+        // empty, but nobody receives their results, so the route register
+        // carrying the fourth finds the depth-3 output FIFO full.
+        let mut f = simple_add_fabric();
+        f.set_fifo_depth(3).unwrap();
+        for i in 0..4u64 {
+            assert!(f.try_send(0, i) && f.try_send(1, 0));
+            for _ in 0..16 {
+                f.tick();
+            }
+        }
+        assert_eq!(f.output_pending(0), 3);
+        assert_eq!(f.fifo_high_water(), 3);
     }
 
     #[test]

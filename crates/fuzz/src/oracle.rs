@@ -12,7 +12,11 @@
 //!    both simulation paths;
 //! 5. invalid system descriptions fail with a typed
 //!    `SysError::InvalidConfig` before any simulation starts;
-//! 6. nothing panics (the campaign driver wraps each case in
+//! 6. a DySER run whose port FIFOs never held as many values as its depth
+//!    when a capacity check read them (its FIFO high-water mark is below
+//!    the depth) has bit-identical `RunStats` at a depth just above the
+//!    mark: the rule by which `dyser_core::LegMemo` replays legs;
+//! 7. nothing panics (the campaign runs each case inside
 //!    `catch_unwind`).
 //!
 //! Any violation is a simulator or compiler bug, reported as a
@@ -23,6 +27,7 @@ use std::fmt;
 use dyser_compiler::ir::interp::{interpret, InterpMem};
 use dyser_compiler::Program;
 use dyser_core::{compile_cached, RunStats, SysError, System, SystemConfig};
+use dyser_fabric::Fabric;
 use dyser_sparc::CycleBucket;
 
 use crate::gen::{build_case, compiler_options, system_config, BuiltCase, Recipe, RunMode};
@@ -49,7 +54,8 @@ pub enum FuzzFailure {
     /// A run that should complete returned an error.
     Run {
         /// Which engine (`"baseline"`, `"dyser"`, `"dyser-stepped"`,
-        /// `"dyser-compiled"`).
+        /// `"dyser-compiled"`), or `"dyser-depth"` for the DySER run at
+        /// another FIFO depth.
         which: &'static str,
         /// The typed error's rendering.
         detail: String,
@@ -76,6 +82,9 @@ pub enum FuzzFailure {
     },
     /// The half-budget timeout sweep diverged between paths.
     TimeoutDiverge(String),
+    /// A DySER run's stats changed at another FIFO depth above its FIFO
+    /// high-water mark.
+    DepthDiverge(String),
     /// Traced mode produced no trace.
     MissingTrace,
     /// The case panicked (caught by the campaign driver).
@@ -98,6 +107,7 @@ impl FuzzFailure {
             FuzzFailure::StatsDiverge(_) => "stats-diverge",
             FuzzFailure::UnbalancedAccount { .. } => "unbalanced-account",
             FuzzFailure::TimeoutDiverge(_) => "timeout-diverge",
+            FuzzFailure::DepthDiverge(_) => "depth-diverge",
             FuzzFailure::MissingTrace => "missing-trace",
             FuzzFailure::Panic(_) => "panic",
         }
@@ -123,6 +133,7 @@ impl fmt::Display for FuzzFailure {
                 write!(f, "{which} cycle account unbalanced: {detail}")
             }
             FuzzFailure::TimeoutDiverge(d) => write!(f, "timeout sweep diverged: {d}"),
+            FuzzFailure::DepthDiverge(d) => write!(f, "FIFO depth above the mark diverged: {d}"),
             FuzzFailure::MissingTrace => write!(f, "traced run produced no trace"),
             FuzzFailure::Panic(d) => write!(f, "panic: {d}"),
         }
@@ -255,7 +266,7 @@ pub fn check_case_with(
     // path — all three must agree bit-for-bit in both outputs and
     // statistics.
     let traced = r.mode == RunMode::Traced;
-    let (ff_stats, had_trace) =
+    let (ff_stats, mut ff_sys) =
         exec("dyser", &compiled.accelerated, &built, &expected, &sys_cfg, Engine::Fast, traced)?;
     let (st_stats, _) = exec(
         "dyser-stepped",
@@ -286,8 +297,33 @@ pub fn check_case_with(
             "fast-forward {ff_stats:?} vs compiled {cp_stats:?}"
         )));
     }
-    if traced && !had_trace {
+    if traced && ff_sys.take_trace().is_none() {
         return Err(FuzzFailure::MissingTrace);
+    }
+
+    // A run whose FIFO high-water mark is below its depth must run the
+    // same at every other depth above the mark (`LegMemo` replays legs on
+    // this): check the shallowest such depth.
+    let mark = ff_sys.fabric().map_or(0, Fabric::fifo_high_water);
+    if mark < sys_cfg.fifo_depth {
+        let depth = if mark + 1 == sys_cfg.fifo_depth { mark + 2 } else { mark + 1 };
+        let other = SystemConfig { fifo_depth: depth, ..sys_cfg.clone() };
+        let (stats, _) = exec(
+            "dyser-depth",
+            &compiled.accelerated,
+            &built,
+            &expected,
+            &other,
+            Engine::Fast,
+            false,
+        )?;
+        if stats != ff_stats {
+            return Err(FuzzFailure::DepthDiverge(format!(
+                "mark {mark}: depth {} {ff_stats:?} vs depth {depth} {stats:?}",
+                sys_cfg.fifo_depth
+            )));
+        }
+        cycles += stats.cycles;
     }
 
     // Mid-run timeout sweep: every path must report the same typed
@@ -334,6 +370,7 @@ impl Engine {
 
 /// Builds a system, runs one engine, checks the balance identity, the
 /// `MemMiss` cross-check, and the output buffers against the interpreter.
+/// Returns the stats and the finished system.
 fn exec(
     which: &'static str,
     program: &Program,
@@ -342,7 +379,7 @@ fn exec(
     sys_cfg: &SystemConfig,
     engine: Engine,
     trace: bool,
-) -> Result<(RunStats, bool), FuzzFailure> {
+) -> Result<(RunStats, System), FuzzFailure> {
     let mut sys = setup(which, program, built, sys_cfg)?;
     if trace {
         sys.enable_trace(TRACE_CAP);
@@ -375,7 +412,7 @@ fn exec(
             }
         }
     }
-    Ok((stats, sys.take_trace().is_some()))
+    Ok((stats, sys))
 }
 
 /// Runs one engine under an insufficient budget; the result must be a
