@@ -11,6 +11,7 @@
 //! cargo run -p dyser-bench --release --bin repro -- dse                # full sweep, BENCH_dse.json
 //! cargo run -p dyser-bench --release --bin repro -- dse --kernels saxpy --dims 2,4 --n 64
 //! cargo run -p dyser-bench --release --bin repro -- dse --no-prune --csv
+//! cargo run -p dyser-bench --release --bin repro -- dse --serve http://127.0.0.1:7878
 //! cargo run -p dyser-bench --release --bin repro -- fuzz --cases 10000 --seed 0xD75E --shrink
 //! cargo run -p dyser-bench --release --bin repro -- all --csv --serve http://127.0.0.1:7878
 //! ```
@@ -22,6 +23,7 @@
 use std::fmt::Display;
 use std::io::{self, Write};
 
+use dyser_bench::dse;
 use dyser_bench::experiments::TRACE_EVENTS;
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
 use dyser_bench::{
@@ -97,112 +99,36 @@ fn say(text: impl Display) {
 /// `repro dse [--kernels a,b] [--dims 2,4] [--mixes default,universal]
 /// [--fifos 1,4] [--mems default,tiny] [--unrolls 1,8] [--n N]
 /// [--no-prune] [--csv] [--backend B] [--serve URL]`: the design-space
-/// exploration driver. Survivors run one harness task per point. Axis
-/// values are validated up front (a `--dims 0` or `--fifos 0` sweep
-/// exits with the fabric's own typed configuration error); any filter
-/// flag redirects the report to
-/// `BENCH_dse.partial.json`. Never returns.
+/// exploration driver. The arguments are checked up front by
+/// [`dse::parse_dse_args`] (a `--dims 0` or `--fifos 0` sweep exits 2 with
+/// the fabric's own typed configuration error); any filter flag
+/// redirects the report to `BENCH_dse.partial.json`. `--serve URL` sends
+/// the other arguments to a daemon as one `dse` job, which parses them
+/// the same way and returns what a local sweep prints and writes. Never
+/// returns.
 fn dse_main(mut args: Vec<String>) -> ! {
-    use dyser_bench::dse::{self, DsePlan, FuMix, MemPreset, PointSim};
-    let mut plan = DsePlan::default();
-    let parse_usizes = |v: &str| -> Result<Vec<usize>, String> {
-        v.split(',').map(|s| s.trim().parse().map_err(|e| format!("{s:?}: {e}"))).collect()
-    };
-    if let Some(k) = take_value(&mut args, "--kernels", |v| {
-        Ok(v.split(',').map(|s| s.trim().to_owned()).collect::<Vec<_>>())
-    }) {
-        plan.kernels = k;
-    }
-    if let Some(d) = take_value(&mut args, "--dims", parse_usizes) {
-        plan.dims = d;
-    }
-    if let Some(f) = take_value(&mut args, "--fifos", parse_usizes) {
-        plan.fifos = f;
-    }
-    if let Some(u) = take_value(&mut args, "--unrolls", parse_usizes) {
-        plan.unrolls = u;
-    }
-    if let Some(m) = take_value(&mut args, "--mems", |v| {
-        v.split(',').map(|s| MemPreset::parse(s.trim())).collect::<Result<Vec<_>, _>>()
-    }) {
-        plan.mems = m;
-    }
-    if let Some(m) = take_value(&mut args, "--mixes", |v| {
-        v.split(',').map(|s| FuMix::parse(s.trim())).collect::<Result<Vec<_>, _>>()
-    }) {
-        plan.mixes = m;
-    }
-    if let Some(n) = take_value(&mut args, "--n", |v| match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{v:?} is not a positive size")),
-    }) {
-        plan.n = n;
-    }
-    if let Some(b) = take_value(&mut args, "--backend", dyser_core::Backend::parse) {
-        plan.backend = Some(b);
-    }
     let serve_url = take_value(&mut args, "--serve", |v| Ok(v.to_owned()));
-    let csv = args.iter().any(|a| a == "--csv");
-    if args.iter().any(|a| a == "--no-prune") {
-        plan.prune = false;
-    }
-    args.retain(|a| a != "--csv" && a != "--no-prune");
-    if let Some(stray) = args.first() {
-        eprintln!(
-            "unknown dse argument `{stray}`; valid: --kernels --dims --mixes --fifos \
-             --mems --unrolls --n N --no-prune --csv --backend B --serve URL"
-        );
-        std::process::exit(2);
-    }
-    if let Err(e) = plan.validate() {
+    let (plan, csv) = dse::parse_dse_args(&args).unwrap_or_else(|e| {
         eprintln!("repro dse: {e}");
         std::process::exit(2);
-    }
-    let outcome = match &serve_url {
-        Some(url) => dse::run_dse_with(&plan, |_, p, _| {
-            let job = JobRequest::DsePoint {
-                kernel: p.kernel.clone(),
-                n: plan.n,
-                rows: p.rows,
-                cols: p.cols,
-                universal: p.mix == FuMix::Universal,
-                fifo_depth: p.fifo_depth,
-                mem: p.mem.label().into(),
-                unroll: p.unroll,
-                run: serve::RunSpec { backend: plan.backend, ..Default::default() },
-            };
-            match serve::submit(url, &job) {
-                Ok(JobResult::DsePoint {
-                    baseline_cycles, cycles, energy_nj, config_cycles, ..
-                }) => Ok(PointSim { baseline_cycles, cycles, energy_nj, config_cycles }),
-                Ok(other) => Err(format!("{p} via {url}: unexpected result {other:?}")),
-                Err(e) => Err(format!("{p} via {url}: {e}")),
-            }
-        }),
-        None => dse::run_dse(&plan),
+    });
+    let rendered = match &serve_url {
+        Some(url) => serve::submit(url, &JobRequest::Dse { args })
+            .and_then(|reply| match reply {
+                JobResult::Experiment { text, report: Some(report) } => Ok((text, report)),
+                other => Err(JobError::Protocol(format!("unexpected result {other:?}"))),
+            })
+            .map_err(|e| e.to_string()),
+        None => dse::render_dse(&plan, csv, u64::MAX).map_err(|e| e.to_string()),
     };
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("repro dse: {e}");
-            std::process::exit(1);
-        }
-    };
-    match outcome.table() {
-        Ok(table) => {
-            if csv {
-                say(table.to_csv());
-            } else {
-                say(table);
-            }
-        }
-        Err(e) => {
-            eprintln!("repro dse: {e}");
-            std::process::exit(1);
-        }
-    }
+    let (text, report) = rendered.unwrap_or_else(|e| {
+        let via = serve_url.map(|url| format!(" via {url}")).unwrap_or_default();
+        eprintln!("repro dse{via}: {e}");
+        std::process::exit(1);
+    });
+    say(text);
     let path = dse::dse_path(&plan);
-    write_or_exit(path, &outcome.to_json());
+    write_or_exit(path, &report);
     say(format_args!("wrote {path}"));
     std::process::exit(0);
 }
@@ -262,7 +188,7 @@ fn main() {
     let outcome = match &serve_url {
         Some(url) => serve::submit(url, &JobRequest::Experiment { ids, csv, scale: 1.0, backend })
             .and_then(|reply| match reply {
-                JobResult::Experiment { text } => Ok(text),
+                JobResult::Experiment { text, report: None } => Ok(text),
                 other => Err(JobError::Protocol(format!("unexpected result {other:?}"))),
             })
             .map(say),

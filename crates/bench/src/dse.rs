@@ -34,7 +34,7 @@
 //! *between* points of the same kernel, where the systematic component
 //! of the error cancels.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use dyser_compiler::Function;
@@ -300,8 +300,15 @@ impl Default for DsePlan {
 /// panicking somewhere inside scheduling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DseError {
+    /// A `repro dse` argument [`parse_dse_args`] cannot read: an unknown
+    /// flag, a flag given twice, a missing value, or a value its axis
+    /// cannot parse. The message names the flag.
+    Usage(String),
     /// A kernel name not in the workload suite.
     UnknownKernel(String),
+    /// A plan of more than [`MAX_PLAN_POINTS`] points; `None` when the
+    /// count overflows a `usize`.
+    TooManyPoints(Option<usize>),
     /// A degenerate geometry or FIFO depth, caught at validation time.
     Config(FabricConfigError),
     /// An axis with no values (the sweep would be empty).
@@ -330,7 +337,13 @@ pub enum DseError {
 impl fmt::Display for DseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            DseError::Usage(m) => f.write_str(m),
             DseError::UnknownKernel(k) => write!(f, "unknown kernel {k:?} (see `dyser-workloads`)"),
+            DseError::TooManyPoints(points) => {
+                let points =
+                    points.map_or_else(|| "more than usize::MAX".into(), |p| p.to_string());
+                write!(f, "the plan has {points} points; the limit is {MAX_PLAN_POINTS}")
+            }
             DseError::Config(e) => write!(f, "invalid sweep point: {e}"),
             DseError::EmptyAxis(axis) => write!(f, "sweep axis `{axis}` has no values"),
             DseError::DuplicateValue { axis, value } => {
@@ -381,19 +394,44 @@ pub fn check_unroll(unroll: usize) -> Result<(), DseError> {
     }
 }
 
+/// The most points a plan may have. [`DsePlan::points`] allocates every
+/// point before the first compile, so [`DsePlan::validate`] checks the
+/// count from the axis lengths alone, before any per-value work. Every
+/// plan in the repository fits: the committed plan has 3,072 points.
+pub const MAX_PLAN_POINTS: usize = 1 << 16;
+
 impl DsePlan {
-    /// Validates every axis value up front: no axis empty or listing a
-    /// value twice, kernel names against the suite, the problem size
-    /// against each kernel's [`Kernel::sizes`], geometry dimensions
-    /// through [`FabricGeometry::try_new`], FIFO depths against the
-    /// zero-depth error, unroll factors through [`check_unroll`]. This is
-    /// the CLI's parse-time gate — after it passes, no point of the sweep
-    /// can hit a construction panic.
+    /// Validates every axis value up front: no axis empty, at most
+    /// [`MAX_PLAN_POINTS`] points, no axis listing a value twice, kernel
+    /// names against the suite, the problem size against each kernel's
+    /// [`Kernel::sizes`], geometry dimensions through
+    /// [`FabricGeometry::try_new`], FIFO depths against the zero-depth
+    /// error, unroll factors through [`check_unroll`]. This is the CLI's
+    /// parse-time gate — after it passes, no point of the sweep can hit a
+    /// construction panic. Its work is linear in the axis lengths.
     ///
     /// # Errors
     ///
     /// Returns the first offending axis value as a typed [`DseError`].
     pub fn validate(&self) -> Result<(), DseError> {
+        let lengths = [
+            ("kernels", self.kernels.len()),
+            ("dims", self.dims.len()),
+            ("mixes", self.mixes.len()),
+            ("fifos", self.fifos.len()),
+            ("mems", self.mems.len()),
+            ("unrolls", self.unrolls.len()),
+        ];
+        if let Some(&(axis, _)) = lengths.iter().find(|(_, len)| *len == 0) {
+            return Err(DseError::EmptyAxis(axis));
+        }
+        // Geometries are the `dims x dims` cross product, so the fold
+        // starts at one factor of `dims`.
+        let points =
+            lengths.iter().try_fold(self.dims.len(), |points, (_, len)| points.checked_mul(*len));
+        if !matches!(points, Some(p) if p <= MAX_PLAN_POINTS) {
+            return Err(DseError::TooManyPoints(points));
+        }
         let spelled = |values: &[usize]| values.iter().map(ToString::to_string).collect();
         let axes: [(&'static str, Vec<String>); 6] = [
             ("kernels", self.kernels.clone()),
@@ -404,11 +442,8 @@ impl DsePlan {
             ("unrolls", spelled(&self.unrolls)),
         ];
         for (axis, values) in axes {
-            if values.is_empty() {
-                return Err(DseError::EmptyAxis(axis));
-            }
-            let repeat = values.iter().enumerate().find(|(i, v)| values[..*i].contains(v));
-            if let Some((_, value)) = repeat {
+            let mut seen = HashSet::with_capacity(values.len());
+            if let Some(value) = values.iter().find(|v| !seen.insert(*v)) {
                 return Err(DseError::DuplicateValue { axis, value: value.clone() });
             }
         }
@@ -460,6 +495,68 @@ impl DsePlan {
         }
         out
     }
+}
+
+/// Parses a `repro dse` command line, without the `--serve URL` only the
+/// client reads, into a validated plan and whether to render CSV. `repro
+/// dse` and the daemon's `dse` job both call it, so they refuse the same
+/// plans with the same one-line message. Each flag may appear once; an
+/// absent axis keeps its [`DsePlan::default`] values.
+///
+/// # Errors
+///
+/// [`DseError::Usage`] naming the flag it cannot read, or what
+/// [`DsePlan::validate`] returns for the plan.
+pub fn parse_dse_args(args: &[impl AsRef<str>]) -> Result<(DsePlan, bool), DseError> {
+    fn list<T>(value: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        value.split(',').map(|s| parse(s.trim())).collect()
+    }
+    let count = |s: &str| s.parse::<usize>().map_err(|e| format!("{s:?}: {e}"));
+    let size = |v: &str| match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{v:?} is not a positive size")),
+    };
+    let mut plan = DsePlan::default();
+    let mut csv = false;
+    let mut given = Vec::new();
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(flag) = args.next() {
+        let usage = |e: &str| DseError::Usage(format!("{flag}: {e}"));
+        if given.contains(&flag) {
+            return Err(usage("given more than once"));
+        }
+        given.push(flag);
+        let mut value = || args.next().ok_or_else(|| "a value is required".to_owned());
+        let parsed = match flag {
+            "--csv" => {
+                csv = true;
+                Ok(())
+            }
+            "--no-prune" => {
+                plan.prune = false;
+                Ok(())
+            }
+            "--kernels" => {
+                value().and_then(|v| list(v, |s| Ok(s.to_owned()))).map(|k| plan.kernels = k)
+            }
+            "--dims" => value().and_then(|v| list(v, count)).map(|d| plan.dims = d),
+            "--fifos" => value().and_then(|v| list(v, count)).map(|f| plan.fifos = f),
+            "--unrolls" => value().and_then(|v| list(v, count)).map(|u| plan.unrolls = u),
+            "--mems" => value().and_then(|v| list(v, MemPreset::parse)).map(|m| plan.mems = m),
+            "--mixes" => value().and_then(|v| list(v, FuMix::parse)).map(|m| plan.mixes = m),
+            "--n" => value().and_then(size).map(|n| plan.n = n),
+            "--backend" => value().and_then(Backend::parse).map(|b| plan.backend = Some(b)),
+            other => {
+                return Err(DseError::Usage(format!(
+                    "unknown dse argument `{other}`; valid: --kernels --dims --mixes --fifos \
+                     --mems --unrolls --n N --no-prune --csv --backend B"
+                )))
+            }
+        };
+        parsed.map_err(|e| usage(&e))?;
+    }
+    plan.validate()?;
+    Ok((plan, csv))
 }
 
 // ------------------------------------------------------------ estimator
@@ -643,7 +740,7 @@ fn estimate_with(
 
 /// The per-kernel calibration point: the default system geometry and
 /// FIFO depth, the default FU mix and memory hierarchy, no unrolling.
-/// [`run_dse_with`] simulates this one point per kernel before
+/// [`run_dse_with_many`] simulates this one point per kernel before
 /// estimating anything and scales the analytic model by the observed
 /// estimated/simulated ratio — anchoring cancels the model's systematic
 /// error (unmodelled FP latencies, pipeline depth) while leaving the
@@ -925,14 +1022,18 @@ fn mark_pareto(records: &mut [DseRecord]) {
 /// fabric and memory preset (an unroll factor the compiler lowered to
 /// one already swept), at its own FIFO depth or at another depth its run
 /// cannot tell apart (see [`LegMemo`]). The report is byte-identical to
-/// simulating every leg ([`run_dse_with`] over
-/// [`dyser_core::run_kernel`]).
+/// simulating every leg through [`dyser_core::run_kernel`].
 ///
 /// # Errors
 ///
 /// Returns a typed [`DseError`] for invalid plans, compile failures,
 /// calibration-anchor failures, or survivor simulation failures.
 pub fn run_dse(plan: &DsePlan) -> Result<DseOutcome, DseError> {
+    capped_sweep(plan, u64::MAX)
+}
+
+/// [`run_dse`] with every leg's cycle budget capped at `max_cycles`.
+fn capped_sweep(plan: &DsePlan, max_cycles: u64) -> Result<DseOutcome, DseError> {
     // Before any case is built: `Kernel::case` may panic on a size the
     // plan's validation rejects.
     plan.validate()?;
@@ -942,30 +1043,42 @@ pub fn run_dse(plan: &DsePlan) -> Result<DseOutcome, DseError> {
         .map(|k| k.case(plan.n, SEED))
         .collect();
     let legs = LegMemo::default();
-    run_dse_with(plan, |kernel, point, rc| {
-        let case = cases.iter().find(|c| c.name == kernel.name).expect("a case per swept kernel");
-        let result = legs.run_kernel(case, rc).map_err(|e| format!("{point}: {e}"))?;
-        Ok(point_sim(&result, rc.system.geometry.fu_count()))
+    run_dse_with_many(plan, |requests| {
+        parallel_map(requests, default_workers(), |(kernel, point, rc)| {
+            let case =
+                cases.iter().find(|c| c.name == kernel.name).expect("a case per swept kernel");
+            let capped;
+            let rc = if rc.max_cycles > max_cycles {
+                capped = RunConfig { max_cycles, ..rc.clone() };
+                &capped
+            } else {
+                rc
+            };
+            let result = legs.run_kernel(case, rc).map_err(|e| format!("{point}: {e}"))?;
+            Ok(point_sim(&result, rc.system.geometry.fu_count()))
+        })
     })
 }
 
-/// [`run_dse`] with a caller-supplied per-point survivor runner — the
-/// `--serve` client fans survivors out to a daemon through this hook,
-/// and tests substitute reference backends. Points fan out across
-/// worker threads with one hook call each.
+/// Runs `plan` and renders what `repro dse` prints and writes: the
+/// Pareto front as a table (as CSV when `csv`), and the
+/// [`DseOutcome::to_json`] report for [`dse_path`]. Every leg's cycle
+/// budget is capped at `max_cycles`; `u64::MAX` leaves each leg's own
+/// budget. `repro dse` calls it, and so does the daemon's `dse` job with
+/// its cycle cap, so a served sweep prints and writes the local bytes.
 ///
 /// # Errors
 ///
 /// See [`run_dse`].
-pub fn run_dse_with(
+pub fn render_dse(
     plan: &DsePlan,
-    simulate: impl Fn(&Kernel, &DsePoint, &RunConfig) -> Result<PointSim, String> + Sync,
-) -> Result<DseOutcome, DseError> {
-    run_dse_with_many(plan, |requests| {
-        parallel_map(requests, default_workers(), |(kernel, point, rc)| {
-            simulate(kernel, point, rc)
-        })
-    })
+    csv: bool,
+    max_cycles: u64,
+) -> Result<(String, String), DseError> {
+    let outcome = capped_sweep(plan, max_cycles)?;
+    let table = outcome.table()?;
+    let text = if csv { table.to_csv() } else { table.to_string() };
+    Ok((text, outcome.to_json()))
 }
 
 /// One survivor-simulation request handed to the [`run_dse_with_many`]
@@ -973,13 +1086,13 @@ pub fn run_dse_with(
 /// configuration.
 pub type DseRequest<'a> = (&'a Kernel, DsePoint, RunConfig);
 
-/// The generalized sweep driver: enumerate, calibrate, estimate, prune,
-/// then hand *all* survivors to `simulate_many` in one call, so the hook
-/// decides how to schedule them ([`run_dse_with`] fans them out one
-/// point per task). The hook must return one result per request, in
-/// request order. The hook is called twice: first with one calibration
-/// anchor per kernel ([`anchor_point`]), whose failure is reported as
-/// [`DseError::Anchor`], then with the survivors.
+/// The sweep driver: enumerate, calibrate, estimate, prune, then hand
+/// *all* survivors to `simulate_many` in one call, so the hook decides
+/// how to schedule them ([`run_dse`] fans them out one point per task
+/// through its leg memo). The hook must return one result per request,
+/// in request order. The hook is called twice: first with one
+/// calibration anchor per kernel ([`anchor_point`]), whose failure is
+/// reported as [`DseError::Anchor`], then with the survivors.
 ///
 /// # Errors
 ///
@@ -1097,6 +1210,19 @@ mod tests {
         }
     }
 
+    /// A sweep whose hook calls `simulate` once per anchor and survivor,
+    /// one worker task each.
+    fn sweep_each(
+        plan: &DsePlan,
+        simulate: impl Fn(&Kernel, &DsePoint, &RunConfig) -> Result<PointSim, String> + Sync,
+    ) -> Result<DseOutcome, DseError> {
+        run_dse_with_many(plan, |requests| {
+            parallel_map(requests, default_workers(), |(kernel, point, rc)| {
+                simulate(kernel, point, rc)
+            })
+        })
+    }
+
     #[test]
     fn default_plan_is_a_thousand_plus_points() {
         let plan = DsePlan::default();
@@ -1164,6 +1290,85 @@ mod tests {
                 plan.validate()
             );
         }
+        // Every DSE kernel on every square fabric, both mixes, every
+        // memory preset and unroll factor: 7,077,888 points, refused from
+        // the axis lengths before any point is built.
+        let everything = DsePlan {
+            kernels: dse_kernels().iter().map(|k| k.name.to_owned()).collect(),
+            dims: (1..=FabricGeometry::MAX_DIM).collect(),
+            mixes: FuMix::ALL.to_vec(),
+            fifos: vec![4],
+            mems: MemPreset::ALL.to_vec(),
+            unrolls: (1..=MAX_UNROLL).collect(),
+            ..tiny_plan()
+        };
+        assert_eq!(everything.validate(), Err(DseError::TooManyPoints(Some(7_077_888))));
+        // A thousand values on every axis: 10^21 points overflow a `usize`.
+        let overflow = DsePlan {
+            kernels: vec!["poly6".into(); 1000],
+            dims: vec![2; 1000],
+            mixes: vec![FuMix::Default; 1000],
+            fifos: vec![4; 1000],
+            mems: vec![MemPreset::Default; 1000],
+            unrolls: vec![1; 1000],
+            ..tiny_plan()
+        };
+        assert_eq!(overflow.validate(), Err(DseError::TooManyPoints(None)));
+        let mut plan = tiny_plan();
+        plan.dims = vec![2];
+        plan.unrolls = vec![1];
+        plan.fifos = (1..=MAX_PLAN_POINTS).collect();
+        assert_eq!(plan.validate(), Ok(()), "a plan of exactly the bound is valid");
+        plan.fifos.push(MAX_PLAN_POINTS);
+        assert_eq!(plan.validate(), Err(DseError::TooManyPoints(Some(MAX_PLAN_POINTS + 1))));
+        // The repeat check is linear: a repeat at the end of a long axis.
+        plan.fifos = (1..=20_000).chain([20_000]).collect();
+        assert_eq!(
+            plan.validate(),
+            Err(DseError::DuplicateValue { axis: "fifos", value: "20000".into() })
+        );
+    }
+
+    /// The shared `repro dse` parser: flags set their axes, absent axes
+    /// keep the default plan, and every refusal is one line naming the
+    /// flag or the axis.
+    #[test]
+    fn dse_args_parse_into_validated_plans() {
+        let none: [&str; 0] = [];
+        assert_eq!(parse_dse_args(&none), Ok((DsePlan::default(), false)));
+        let args = [
+            "--kernels", "saxpy, p1_match", "--dims", "2,4", "--mixes", "universal", "--fifos",
+            "1", "--mems", "tiny,perfect", "--unrolls", "2", "--n", "48", "--no-prune", "--csv",
+            "--backend", "interpreted",
+        ];
+        let plan = DsePlan {
+            kernels: vec!["saxpy".into(), "p1_match".into()],
+            dims: vec![2, 4],
+            mixes: vec![FuMix::Universal],
+            fifos: vec![1],
+            mems: vec![MemPreset::Tiny, MemPreset::Perfect],
+            unrolls: vec![2],
+            n: 48,
+            prune: false,
+            backend: Some(Backend::Interpreted),
+        };
+        assert_eq!(parse_dse_args(&args), Ok((plan, true)));
+        for (args, message) in [
+            (&["--bogus"][..], "unknown dse argument `--bogus`; valid: --kernels"),
+            (&["--dims"], "--dims: a value is required"),
+            (&["--dims", "2,x"], "--dims: \"x\": invalid digit"),
+            (&["--n", "0"], "--n: \"0\" is not a positive size"),
+            (&["--mems", "bogus"], "--mems: unknown memory preset \"bogus\""),
+            (&["--backend", "bogus"], "--backend: "),
+            (&["--csv", "--csv"], "--csv: given more than once"),
+            (&["--dims", "2", "--dims", "4"], "--dims: given more than once"),
+            (&["--dims", "2,2"], "sweep axis `dims` lists 2 more than once"),
+            (&["--kernels", "warp-drive"], "unknown kernel \"warp-drive\""),
+        ] {
+            let err = parse_dse_args(args).expect_err("refused").to_string();
+            assert!(err.starts_with(message), "{args:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        }
     }
 
     /// The FIFO high-water mark of `point`'s DySER leg, run afresh.
@@ -1201,7 +1406,7 @@ mod tests {
             prune: false,
             backend: Some(Backend::Compiled),
         };
-        let fresh = run_dse_with(&plan, |kernel, point, rc| {
+        let fresh = sweep_each(&plan, |kernel, point, rc| {
             let result = dyser_core::run_kernel(&kernel.case(plan.n, SEED), rc)
                 .map_err(|e| format!("{point}: {e}"))?;
             Ok(point_sim(&result, rc.system.geometry.fu_count()))
@@ -1250,7 +1455,8 @@ mod tests {
     }
 
     /// A failed calibration anchor is reported as the anchor, not as a
-    /// survivor, even when the anchor is not a point of the plan.
+    /// survivor, even when the anchor is not a point of the plan, and
+    /// whether its hook or a cycle cap fails it.
     #[test]
     fn anchor_failures_name_the_calibration_anchor() {
         let plan = DsePlan { dims: vec![2, 4], ..tiny_plan() };
@@ -1264,16 +1470,19 @@ mod tests {
                 Ok(sim)
             }
         };
-        let err = run_dse_with(&plan, |_, p, _| fail_if(*p == anchor, p)).unwrap_err();
+        let err = sweep_each(&plan, |_, p, _| fail_if(*p == anchor, p)).unwrap_err();
         assert_eq!(err, DseError::Anchor(format!("{anchor}: baseline run: no halt after 9 cycles")));
         assert_eq!(
             err.to_string(),
             "calibration anchor failed: poly6 8x8/default fifo4 mem:default u1: \
              baseline run: no halt after 9 cycles"
         );
-        let err = run_dse_with(&plan, |_, p, _| fail_if(*p != anchor, p)).unwrap_err();
+        let err = sweep_each(&plan, |_, p, _| fail_if(*p != anchor, p)).unwrap_err();
         assert!(matches!(err, DseError::Run(_)), "{err}");
         assert!(err.to_string().starts_with("survivor simulation failed: poly6 2x"), "{err}");
+        // A cycle cap reaches every leg, the anchor's first.
+        let err = render_dse(&plan, false, 100).unwrap_err();
+        assert!(matches!(&err, DseError::Anchor(m) if m.starts_with(&anchor.to_string())), "{err}");
     }
 
     #[test]

@@ -303,9 +303,17 @@ pub enum JobRequest {
         /// Execution knobs.
         run: RunSpec,
     },
-    /// Simulate one design-space-exploration point (`repro dse
-    /// --serve`) and return its sweep metrics: cycles, geometry-scaled
-    /// energy, and config-load stall cycles.
+    /// Run one `repro dse` sweep: `args` are its command line without
+    /// `--serve URL`, parsed by `dse::parse_dse_args`. The reply is an
+    /// [`JobResult::Experiment`] carrying the text `repro dse` prints and
+    /// the report it writes.
+    Dse {
+        /// The `repro dse` arguments.
+        args: Vec<String>,
+    },
+    /// Simulate one design-space-exploration point and return its sweep
+    /// metrics: cycles, geometry-scaled energy, and config-load stall
+    /// cycles.
     DsePoint {
         /// Suite kernel name.
         kernel: String,
@@ -404,16 +412,12 @@ impl RunSpec {
         }
     }
 
-    fn from_json(v: &JsonValue) -> Result<RunSpec, JobError> {
-        let backend = match v.get("backend").and_then(JsonValue::as_str) {
-            None => None,
-            Some(s) => Some(Backend::parse(s).map_err(JobError::InvalidRequest)?),
-        };
+    fn from_json(f: Fields<'_>) -> Result<RunSpec, JobError> {
         Ok(RunSpec {
-            backend,
-            stepped: v.get("stepped").and_then(JsonValue::as_bool).unwrap_or(false),
-            max_cycles: v.get("max_cycles").and_then(json_u64),
-            trace: v.get("trace").and_then(JsonValue::as_bool).unwrap_or(false),
+            backend: f.backend()?,
+            stepped: f.bool("stepped")?.unwrap_or(false),
+            max_cycles: f.read("max_cycles", "an unsigned integer or a hex string", json_u64)?,
+            trace: f.bool("trace")?.unwrap_or(false),
         })
     }
 }
@@ -438,23 +442,63 @@ impl SystemSpec {
         }
     }
 
-    fn from_json(v: Option<&JsonValue>) -> Result<SystemSpec, JobError> {
-        let Some(v) = v else { return Ok(SystemSpec::default()) };
-        let usize_field = |key: &str| -> Result<Option<usize>, JobError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(f) => f
-                    .as_u64()
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| JobError::InvalidRequest(format!("`{key}` must be an integer"))),
-            }
+    /// Reads the request's optional `system` object.
+    fn from_json(request: Fields<'_>) -> Result<SystemSpec, JobError> {
+        let object = request.read("system", "an object", |v| {
+            matches!(v, JsonValue::Object(_)).then_some(Fields(v))
+        })?;
+        let Some(f) = object else {
+            return Ok(SystemSpec::default());
         };
         Ok(SystemSpec {
-            rows: usize_field("rows")?,
-            cols: usize_field("cols")?,
-            fifo_depth: usize_field("fifo_depth")?,
-            has_fabric: v.get("has_fabric").and_then(JsonValue::as_bool),
+            rows: f.usize("rows")?,
+            cols: f.usize("cols")?,
+            fifo_depth: f.usize("fifo_depth")?,
+            has_fabric: f.bool("has_fabric")?,
         })
+    }
+}
+
+/// Reads the fields of one request object: an absent field is `None`, so
+/// it takes its default; a present field of the wrong type is an
+/// `invalid-request` naming its key; unknown keys are ignored.
+#[derive(Clone, Copy)]
+struct Fields<'a>(&'a JsonValue);
+
+impl<'a> Fields<'a> {
+    /// The field at `key`, read by `read`; `what` names what it must be.
+    fn read<T>(
+        self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, JobError> {
+        let wrong = || JobError::InvalidRequest(format!("`{key}` must be {what}"));
+        self.0.get(key).map(|v| read(v).ok_or_else(wrong)).transpose()
+    }
+
+    fn bool(self, key: &str) -> Result<Option<bool>, JobError> {
+        self.read(key, "a boolean", JsonValue::as_bool)
+    }
+
+    fn str(self, key: &str) -> Result<Option<&'a str>, JobError> {
+        self.read(key, "a string", JsonValue::as_str)
+    }
+
+    fn usize(self, key: &str) -> Result<Option<usize>, JobError> {
+        let read = |v: &JsonValue| v.as_u64().and_then(|n| usize::try_from(n).ok());
+        self.read(key, "a non-negative integer", read)
+    }
+
+    fn strings(self, key: &str) -> Result<Option<Vec<String>>, JobError> {
+        self.read(key, "an array of strings", |v| {
+            v.as_array()?.iter().map(|s| s.as_str().map(str::to_owned)).collect()
+        })
+    }
+
+    fn backend(self) -> Result<Option<Backend>, JobError> {
+        let parse = |s| Backend::parse(s).map_err(JobError::InvalidRequest);
+        self.str("backend")?.map(parse).transpose()
     }
 }
 
@@ -505,6 +549,12 @@ impl JobRequest {
                 }
                 run.json_fields(&mut fields);
             }
+            JobRequest::Dse { args } => {
+                fields.push("\"kind\": \"dse\"".into());
+                let args: Vec<String> =
+                    args.iter().map(|a| format!("\"{}\"", json_escaped(a))).collect();
+                fields.push(format!("\"args\": [{}]", args.join(", ")));
+            }
             JobRequest::DsePoint { kernel, n, rows, cols, universal, fifo_depth, mem, unroll, run } => {
                 fields.push("\"kind\": \"dse-point\"".into());
                 fields.push(format!("\"kernel\": \"{}\"", json_escaped(kernel)));
@@ -528,95 +578,55 @@ impl JobRequest {
     /// Returns [`JobError::InvalidRequest`] describing the first problem.
     pub fn parse(body: &str) -> Result<JobRequest, JobError> {
         let v = parse_json(body).map_err(JobError::InvalidRequest)?;
-        let kind = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| JobError::InvalidRequest("missing `kind`".into()))?;
+        let f = Fields(&v);
+        let kind =
+            f.str("kind")?.ok_or_else(|| JobError::InvalidRequest("missing `kind`".into()))?;
+        let needs = |what: &str| JobError::InvalidRequest(format!("{kind} job needs {what}"));
         match kind {
             "experiment" => Ok(JobRequest::Experiment {
-                ids: v
-                    .get("ids")
-                    .and_then(JsonValue::as_array)
-                    .and_then(|ids| ids.iter().map(|id| id.as_str().map(str::to_owned)).collect())
-                    .ok_or_else(|| {
-                        JobError::InvalidRequest(
-                            "experiment job needs an `ids` array of strings".into(),
-                        )
-                    })?,
-                csv: v.get("csv").and_then(JsonValue::as_bool).unwrap_or(false),
-                scale: v.get("scale").and_then(JsonValue::as_f64).unwrap_or(1.0),
-                backend: match v.get("backend").and_then(JsonValue::as_str) {
-                    None => None,
-                    Some(s) => Some(Backend::parse(s).map_err(JobError::InvalidRequest)?),
-                },
+                ids: f.strings("ids")?.ok_or_else(|| needs("an `ids` array of strings"))?,
+                csv: f.bool("csv")?.unwrap_or(false),
+                scale: f.read("scale", "a number", JsonValue::as_f64)?.unwrap_or(1.0),
+                backend: f.backend()?,
             }),
             "kernel" => Ok(JobRequest::Kernel {
-                name: v
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| JobError::InvalidRequest("kernel job needs a `name`".into()))?
-                    .to_owned(),
-                n: v.get("n").and_then(JsonValue::as_u64).map(|n| n as usize),
-                run: RunSpec::from_json(&v)?,
-                system: SystemSpec::from_json(v.get("system"))?,
+                name: f.str("name")?.ok_or_else(|| needs("a `name`"))?.to_owned(),
+                n: f.usize("n")?,
+                run: RunSpec::from_json(f)?,
+                system: SystemSpec::from_json(f)?,
             }),
             "ir" => Ok(JobRequest::Ir {
-                text: v
-                    .get("ir")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| JobError::InvalidRequest("ir job needs an `ir` text".into()))?
-                    .to_owned(),
-                function: v.get("function").and_then(JsonValue::as_str).map(str::to_owned),
-                args: v
-                    .get("args")
-                    .and_then(JsonValue::as_array)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|a| {
-                        json_u64(a)
-                            .ok_or_else(|| JobError::InvalidRequest("`args` must be u64s".into()))
-                    })
-                    .collect::<Result<Vec<u64>, JobError>>()?,
+                text: f.str("ir")?.ok_or_else(|| needs("an `ir` text"))?.to_owned(),
+                function: f.str("function")?.map(str::to_owned),
+                args: f
+                    .read("args", "an array of u64s", |a| {
+                        a.as_array()?.iter().map(json_u64).collect()
+                    })?
+                    .unwrap_or_default(),
                 init: parse_mem_image(v.get("init"), "init")?,
                 expected: parse_mem_image(v.get("expected"), "expected")?,
-                run: RunSpec::from_json(&v)?,
-                system: SystemSpec::from_json(v.get("system"))?,
+                run: RunSpec::from_json(f)?,
+                system: SystemSpec::from_json(f)?,
             }),
             "program" => Ok(JobRequest::Program {
-                name: v
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| JobError::InvalidRequest("program job needs a `name`".into()))?
-                    .to_owned(),
-                n: v.get("n").and_then(JsonValue::as_u64).map(|n| n as usize),
-                run: RunSpec::from_json(&v)?,
+                name: f.str("name")?.ok_or_else(|| needs("a `name`"))?.to_owned(),
+                n: f.usize("n")?,
+                run: RunSpec::from_json(f)?,
             }),
+            "dse" => Ok(JobRequest::Dse { args: f.strings("args")?.unwrap_or_default() }),
             "dse-point" => {
-                let usize_field = |key: &str| -> Result<usize, JobError> {
-                    v.get(key).and_then(JsonValue::as_u64).map(|n| n as usize).ok_or_else(|| {
-                        JobError::InvalidRequest(format!("dse-point job needs a `{key}` integer"))
-                    })
-                };
+                let count =
+                    |key: &str| f.usize(key)?.ok_or_else(|| needs(&format!("a `{key}` integer")));
                 Ok(JobRequest::DsePoint {
-                    kernel: v
-                        .get("kernel")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| {
-                            JobError::InvalidRequest("dse-point job needs a `kernel`".into())
-                        })?
-                        .to_owned(),
-                    n: usize_field("n")?,
-                    rows: usize_field("rows")?,
-                    cols: usize_field("cols")?,
-                    universal: v.get("universal").and_then(JsonValue::as_bool).unwrap_or(false),
-                    fifo_depth: usize_field("fifo_depth")?,
-                    mem: v
-                        .get("mem")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("default")
-                        .to_owned(),
-                    unroll: usize_field("unroll")?,
-                    run: RunSpec::from_json(&v)?,
+                    kernel: f.str("kernel")?.ok_or_else(|| needs("a `kernel`"))?.to_owned(),
+                    n: count("n")?,
+                    rows: count("rows")?,
+                    cols: count("cols")?,
+                    universal: f.bool("universal")?.unwrap_or(false),
+                    fifo_depth: count("fifo_depth")?,
+                    mem: f.str("mem")?.unwrap_or("default").to_owned(),
+                    unroll: count("unroll")?,
+                    run: RunSpec::from_json(f)?,
                 })
             }
             other => Err(JobError::InvalidRequest(format!("unknown job kind `{other}`"))),
@@ -629,11 +639,14 @@ impl JobRequest {
 /// A successful job's payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobResult {
-    /// An experiment's rendered table (CSV or human format, exactly the
-    /// bytes the in-process `repro` would print).
+    /// An experiment's rendered tables, or a `dse` sweep's: exactly the
+    /// bytes the in-process `repro` or `repro dse` would print.
     Experiment {
-        /// The rendered table.
+        /// The rendered tables.
         text: String,
+        /// A `dse` sweep's `BENCH_dse.json` report, which `repro dse`
+        /// writes to `dse_path`; `None` for experiments.
+        report: Option<String>,
     },
     /// A kernel or IR run's statistics.
     Run {
@@ -693,12 +706,18 @@ pub enum JobResult {
 }
 
 impl JobResult {
-    /// Serializes into the result member of a reply envelope.
+    /// Serializes into the result member of a reply envelope. Every
+    /// `f64` is written in its shortest form that parses back to the same
+    /// bits, so a served result equals the in-process one.
     #[must_use]
     pub fn to_json(&self) -> String {
         match self {
-            JobResult::Experiment { text } => {
-                format!("{{\"text\": \"{}\"}}", json_escaped(text))
+            JobResult::Experiment { text, report } => {
+                let report = report
+                    .as_ref()
+                    .map(|r| format!(", \"report\": \"{}\"", json_escaped(r)))
+                    .unwrap_or_default();
+                format!("{{\"text\": \"{}\"{report}}}", json_escaped(text))
             }
             JobResult::Run {
                 name,
@@ -716,7 +735,7 @@ impl JobResult {
                     .collect();
                 let mut s = format!(
                     "{{\"name\": \"{}\", \"baseline_cycles\": {baseline_cycles}, \
-                     \"dyser_cycles\": {dyser_cycles}, \"speedup\": {speedup:.6}, \
+                     \"dyser_cycles\": {dyser_cycles}, \"speedup\": {speedup}, \
                      \"cycle_buckets\": {{{}}}, \"baseline_stats\": \"{}\", \
                      \"dyser_stats\": \"{}\"",
                     json_escaped(name),
@@ -733,7 +752,7 @@ impl JobResult {
             JobResult::Program { name, baseline_cycles, dyser_cycles, speedup, stdout, exit_code } => {
                 format!(
                     "{{\"name\": \"{}\", \"baseline_cycles\": {baseline_cycles}, \
-                     \"dyser_cycles\": {dyser_cycles}, \"speedup\": {speedup:.6}, \
+                     \"dyser_cycles\": {dyser_cycles}, \"speedup\": {speedup}, \
                      \"stdout\": \"{}\", \"exit_code\": {exit_code}}}",
                     json_escaped(name),
                     json_escaped(stdout)
@@ -742,7 +761,7 @@ impl JobResult {
             JobResult::DsePoint { kernel, baseline_cycles, cycles, energy_nj, config_cycles } => {
                 format!(
                     "{{\"kernel\": \"{}\", \"baseline_cycles\": {baseline_cycles}, \
-                     \"cycles\": {cycles}, \"energy_nj\": {energy_nj:.4}, \
+                     \"cycles\": {cycles}, \"energy_nj\": {energy_nj}, \
                      \"config_cycles\": {config_cycles}}}",
                     json_escaped(kernel)
                 )
@@ -752,7 +771,8 @@ impl JobResult {
 
     fn from_json(v: &JsonValue) -> Result<JobResult, JobError> {
         if let Some(text) = v.get("text").and_then(JsonValue::as_str) {
-            return Ok(JobResult::Experiment { text: text.to_owned() });
+            let report = v.get("report").and_then(JsonValue::as_str).map(str::to_owned);
+            return Ok(JobResult::Experiment { text: text.to_owned(), report });
         }
         if let Some(energy_nj) = v.get("energy_nj").and_then(JsonValue::as_f64) {
             let field = |key: &str| -> Result<u64, JobError> {
@@ -1105,6 +1125,10 @@ mod tests {
                 run: RunSpec { backend: Some(Backend::Compiled), ..RunSpec::default() },
             },
             JobRequest::Program { name: "p3".into(), n: None, run: RunSpec::default() },
+            JobRequest::Dse { args: vec![] },
+            JobRequest::Dse {
+                args: ["--kernels", "saxpy,\"quoted\"", "--csv"].map(str::to_owned).into(),
+            },
         ];
         for job in jobs {
             let json = job.to_json();
@@ -1119,8 +1143,8 @@ mod tests {
         let ok: Result<JobResult, JobError> = Ok(JobResult::Run {
             name: "saxpy".into(),
             baseline_cycles: 1000,
-            dyser_cycles: 250,
-            speedup: 4.0,
+            dyser_cycles: 3,
+            speedup: 1000.0 / 3.0,
             baseline_stats: "RunStats { cycles: 1000, .. }".into(),
             dyser_stats: "RunStats { cycles: 250, .. }".into(),
             buckets: vec![("core-compute".into(), 200), ("mem-miss".into(), 50)],
@@ -1175,7 +1199,8 @@ mod tests {
             kernel: "saxpy".into(),
             baseline_cycles: 4000,
             cycles: 900,
-            energy_nj: 1234.5,
+            // More digits than any fixed precision keeps.
+            energy_nj: 26_225.456_789_012_34,
             config_cycles: 37,
         });
         let body = envelope_json(&ok);
@@ -1186,11 +1211,9 @@ mod tests {
     #[test]
     fn experiment_text_round_trips_exactly() {
         let text = "a,b\n1,\"x,y\"\n# note with \"quotes\" and\nnewlines\n";
-        let ok: Result<JobResult, JobError> = Ok(JobResult::Experiment { text: text.into() });
-        let body = envelope_json(&ok);
-        match parse_envelope(&body) {
-            Ok(JobResult::Experiment { text: back }) => assert_eq!(back, text),
-            other => panic!("unexpected: {other:?}"),
+        for report in [None, Some("{\n  \"bench\": \"repro dse\"\n}\n".to_owned())] {
+            let ok = Ok(JobResult::Experiment { text: text.into(), report });
+            assert_eq!(parse_envelope(&envelope_json(&ok)), ok);
         }
     }
 

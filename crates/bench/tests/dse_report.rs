@@ -2,7 +2,7 @@
 //! otherwise modified sweep writes `BENCH_dse.partial.json`, so it can
 //! never clobber the committed full-sweep surface.
 
-use dyser_bench::dse::{dse_path, DsePlan, FuMix, MemPreset};
+use dyser_bench::dse::{dse_kernels, dse_path, DsePlan, FuMix, MemPreset};
 use dyser_core::Backend;
 
 #[test]
@@ -63,25 +63,37 @@ fn out_of_range_unrolls_exit_2_before_the_sweep() {
 #[test]
 fn unsweepable_plans_exit_2_before_the_sweep() {
     let point = ["--mixes", "default", "--fifos", "4", "--mems", "default", "--unrolls", "1"];
+    let joined = |values: Vec<String>| values.join(",");
+    let kernels = joined(dse_kernels().iter().map(|k| k.name.to_owned()).collect());
+    let dims = joined((1..=16).map(|d: usize| d.to_string()).collect());
+    let unrolls = joined((1..=256).map(|u: usize| u.to_string()).collect());
     for (args, message) in [
         // `stencil3` needs an interior element; its case builder panicked.
-        (["--kernels", "stencil3", "--dims", "4", "--n", "1"], "kernel `stencil3` needs n in 3..="),
+        (
+            [&["--kernels", "stencil3", "--dims", "4", "--n", "1"][..], &point].concat(),
+            "kernel `stencil3` needs n in 3..=",
+        ),
         // A repeated value simulated the same point four times.
         (
-            ["--kernels", "saxpy", "--dims", "2,2", "--n", "16"],
+            [&["--kernels", "saxpy", "--dims", "2,2", "--n", "16"][..], &point].concat(),
             "axis `dims` lists 2 more than once",
+        ),
+        // Every DSE kernel, fabric, mix, memory preset and unroll factor:
+        // refused from the axis lengths, before 7 million points exist.
+        (
+            vec!["--kernels", &kernels, "--dims", &dims, "--fifos", "4", "--unrolls", &unrolls],
+            "the plan has 7077888 points; the limit is 65536",
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
             .arg("dse")
-            .args(args)
-            .args(point)
+            .args(&args)
             .output()
             .expect("run repro");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert_eq!(out.status.code(), Some(2), "{message}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{message}: {stderr}");
+        assert!(stderr.contains(message), "{message}: {stderr}");
+        assert!(out.stdout.is_empty(), "{message}: printed a report");
     }
 }

@@ -19,9 +19,10 @@
 //!
 //! Jobs are bit-identical to in-process runs: a kernel job produces the
 //! same `RunStats` (compared by exhaustive `Debug` rendering) as
-//! `run_kernel` under the same configuration, and an experiment job
-//! returns the exact text `repro` prints for its ids. The integration
-//! tests prove both under concurrency.
+//! `run_kernel` under the same configuration, an experiment job returns
+//! the exact text `repro` prints for its ids, and a `dse` job the text
+//! and report `repro dse` prints and writes for its arguments. The
+//! integration tests prove them under concurrency.
 
 #![warn(missing_docs)]
 
@@ -32,7 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
-use dyser_bench::dse::{check_unroll, point_sim, DsePoint, FuMix, MemPreset};
+use dyser_bench::dse::{
+    check_unroll, dse_kernels, parse_dse_args, point_sim, render_dse, DsePoint, FuMix, MemPreset,
+};
 use dyser_bench::experiments::{PROGRAM_N, SEED, TRACE_EVENTS};
 use dyser_bench::serve::{
     envelope_json, read_http_request, write_http_response, JobError, JobRequest, JobResult,
@@ -186,7 +189,16 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             guarded(|| {
                 render_experiments(&mut session, ids, Scale(*scale), *csv, |t| tables.push(t))
             })??;
-            Ok(JobResult::Experiment { text: tables.join("\n") })
+            Ok(JobResult::Experiment { text: tables.join("\n"), report: None })
+        }
+        JobRequest::Dse { args } => {
+            // A refused plan is the request's fault; once the plan is
+            // valid, what fails is an anchor or survivor run, named.
+            let (plan, csv) =
+                parse_dse_args(args).map_err(|e| JobError::InvalidRequest(e.to_string()))?;
+            let (text, report) = guarded(|| render_dse(&plan, csv, max_cycles_cap.max(1)))?
+                .map_err(|e| JobError::Run(e.to_string()))?;
+            Ok(JobResult::Experiment { text, report: Some(report) })
         }
         JobRequest::Kernel { name, n, run, system } => {
             let Some(kernel) = suite().into_iter().find(|k| k.name == name) else {
@@ -252,7 +264,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             })
         }
         JobRequest::DsePoint { kernel, n, rows, cols, universal, fifo_depth, mem, unroll, run } => {
-            let Some(k) = suite().into_iter().find(|s| s.name == kernel) else {
+            let Some(k) = dse_kernels().into_iter().find(|s| s.name == kernel) else {
                 return Err(JobError::UnknownKernel(kernel.clone()));
             };
             let mem = MemPreset::parse(mem).map_err(JobError::InvalidRequest)?;
